@@ -30,6 +30,19 @@ class FlatIndex:
     def memory_bytes(self) -> int:
         return self.buffer.nbytes
 
+    def close(self):
+        """Shut the worker pool down; safe to call twice. Queries issued
+        after close scan on the calling thread."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
     def __repr__(self):
         return (
             f"FlatIndex(width_bits={self.width_bits}, count={self.count}, "
@@ -87,10 +100,11 @@ def flat_range_search(index: FlatIndex, spec: QuerySpec) -> NeighborSet:
         return NeighborSet.empty()
     q = spec.query.words
     r = spec.radius
-    if index._pool is None:
+    pool = index._pool
+    if pool is None:
         ids, dist = _scan_chunk(index.buffer, q, r, 0, index.count)
         return NeighborSet(ids.astype(np.uint32), dist)
-    parts = index._pool.map(
+    parts = pool.map(
         lambda b: _scan_chunk(index.buffer, q, r, b[0], b[1]),
         _chunk_bounds(index.count, index.workers),
     )

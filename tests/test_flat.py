@@ -98,3 +98,17 @@ def test_build_out_of_memory_reports_required_bytes(monkeypatch):
     monkeypatch.setattr(np, "array", failing_array)
     with pytest.raises(MemoryError, match=str(1000 * 16)):
         flat_build(ds)
+
+
+def test_close_shuts_pool_down_and_is_idempotent():
+    ds = random_dataset(2000, 64, seed=41)
+    spec = QuerySpec(ds.code(5), 20)
+    with flat_build(ds, workers=3) as index:
+        pool = index._pool
+        assert flat_range_search(index, spec) == range_search_oracle(ds, spec)
+    assert index._pool is None
+    assert pool._threads and not any(t.is_alive() for t in pool._threads)
+    index.close()
+    # a closed index still answers exactly, on the calling thread
+    assert flat_range_search(index, spec) == range_search_oracle(ds, spec)
+    flat_build(ds, workers=1).close()

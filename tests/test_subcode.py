@@ -1,10 +1,17 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsearch import (
     BinaryCode,
     CodeDataset,
     IndexOpenError,
+    NeighborSet,
+    QueryError,
     QuerySpec,
     candidate_filter,
     filter_bypassed,
@@ -19,6 +26,7 @@ from hamsearch import (
     subcode_range_search,
     verify,
 )
+from hamsearch import subcode
 from hamsearch.subcode import (
     COMPLETE_NAME,
     MANIFEST_NAME,
@@ -327,6 +335,48 @@ def test_verify_duplicate_free_r0(tmp_path):
     manifest.close()
 
 
+def test_verify_reads_sparse_runs_exactly(tmp_path, monkeypatch):
+    ds = random_dataset(8000, 64, seed=63)
+    manifest = subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx")
+    shard = manifest.shards[1]
+    reads = []
+    real_pread = os.pread
+
+    def recording_pread(fd, length, offset):
+        if fd == shard._fwd_fd:
+            reads.append(length)
+        return real_pread(fd, length, offset)
+
+    monkeypatch.setattr(os, "pread", recording_pread)
+    spec = QuerySpec(ds.code(9), 64)
+    # three runs of consecutive ids, far apart: only their rows are read
+    sparse = np.array([3, 4, 5, 1500, 3000, 3001], dtype=np.int64)
+    got = verify(shard, CandidateSet(sparse, np.zeros_like(sparse)), spec)
+    assert sum(reads) == sparse.size * 8
+    assert len(reads) == 3
+    assert np.array_equal(got.ids, shard.local_to_global(sparse))
+    # runs a few rows apart: one read of the rows they span
+    reads.clear()
+    dense = np.array([3, 4, 5, 100, 250, 251], dtype=np.int64)
+    got = verify(shard, CandidateSet(dense, np.zeros_like(dense)), spec)
+    assert reads == [(251 - 3 + 1) * 8]
+    assert np.array_equal(got.ids, shard.local_to_global(dense))
+    manifest.close()
+
+
+def test_truncated_forward_file_raises_query_error(tmp_path):
+    ds = random_dataset(1000, 64, seed=64)
+    manifest = subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx")
+    shard = manifest.shards[0]
+    os.truncate(shard.forward_path, shard.doc_count * 8 // 2)
+    # the last doc of shard 0 now lies past the end of its forward file
+    last = int(shard.local_to_global(np.int64(shard.doc_count - 1)))
+    for radius in (0, 64):  # filter + verify, then the bypass scan
+        with pytest.raises(QueryError, match="shard 0"):
+            subcode_range_search(manifest, QuerySpec(ds.code(last), radius))
+    manifest.close()
+
+
 # --- full queries ---------------------------------------------------------------
 
 def test_bypass_full_radius(tmp_path):
@@ -387,3 +437,73 @@ def test_width_mismatch_query(tmp_path):
     with pytest.raises(ValueError):
         subcode_range_search(manifest, QuerySpec(BinaryCode.zeros(128), 3))
     manifest.close()
+
+
+# --- properties of the forward reads -------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_indexes(tmp_path_factory):
+    built = {}
+    for width, sub_width in ((64, 16), (256, 8)):
+        ds = random_dataset(301, width, seed=65 + width)
+        directory = tmp_path_factory.mktemp(f"m{width}")
+        built[width] = (ds, subcode_build(ds, plan_geometry(width, sub_width), 3, directory))
+    yield built
+    for _, manifest in built.values():
+        manifest.close()
+
+
+def _local_id_sets(n):
+    """Sorted unique local ids: the full range, or a union of runs (which
+    may be empty, single ids, or runs that touch)."""
+    runs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 12)), max_size=12)
+    return st.one_of(
+        st.just(np.arange(n, dtype=np.int64)),
+        runs.map(
+            lambda rs: np.unique(
+                np.array([i for a, k in rs for i in range(a, min(a + k, n))], dtype=np.int64)
+            )
+        ),
+    )
+
+
+def _queries(ds):
+    words = ds.width_bits // 64
+    random_code = st.lists(
+        st.integers(0, 2**64 - 1), min_size=words, max_size=words
+    ).map(lambda w: BinaryCode(ds.width_bits, np.array(w, dtype=np.uint64)))
+    return st.one_of(st.integers(0, ds.count - 1).map(ds.code), random_code)
+
+
+@pytest.mark.parametrize("width", [64, 256])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_equals_oracle_on_candidate_ids(small_indexes, width, data):
+    ds, manifest = small_indexes[width]
+    shard = data.draw(st.sampled_from(manifest.shards))
+    local_ids = data.draw(_local_id_sets(shard.doc_count))
+    spec = QuerySpec(data.draw(_queries(ds)), data.draw(st.integers(0, width)))
+    # blocks of a few rows, so batch boundaries split runs; the dense-run
+    # gap picks run-by-run reads, streamed spans, or either per batch
+    block_rows = data.draw(st.integers(1, 9))
+    dense_gap = data.draw(st.sampled_from([0, 4 * width // 8, 1 << 40]))
+    with mock.patch.object(subcode, "SCAN_BLOCK_BYTES", block_rows * width // 8), \
+            mock.patch.object(subcode, "DENSE_RUN_GAP_BYTES", dense_gap):
+        got = verify(shard, CandidateSet(local_ids, np.zeros_like(local_ids)), spec)
+    truth = range_search_oracle(ds, spec)
+    wanted = np.isin(truth.ids, shard.local_to_global(local_ids))
+    assert got == NeighborSet(truth.ids[wanted], truth.distances[wanted])
+
+
+@pytest.mark.parametrize("width", [64, 256])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bypass_scan_equals_oracle(small_indexes, width, data):
+    ds, manifest = small_indexes[width]
+    s = manifest.geometry.subcode_count
+    spec = QuerySpec(data.draw(_queries(ds)), data.draw(st.integers(s, width)))
+    assert filter_bypassed(manifest.geometry, spec.radius)
+    block_rows = data.draw(st.integers(1, 40))
+    with mock.patch.object(subcode, "SCAN_BLOCK_BYTES", block_rows * width // 8):
+        got = subcode_range_search(manifest, spec)
+    assert got == range_search_oracle(ds, spec)
