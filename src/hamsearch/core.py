@@ -22,6 +22,15 @@ _HEADER = struct.Struct("<4sIII")  # magic, version, width_bits, count
 
 SUB_WIDTHS = (8, 16, 32, 64)
 
+# the distance kernel works through at most this many bytes of codes at a
+# time, so its temporaries stay bounded and cache-sized whatever the number
+# of rows
+KERNEL_BLOCK_BYTES = 1 << 19
+# the kernel XORs the query against rows of about this many words at a time
+XOR_TILE_WORDS = 256
+_BYTE_LANES = np.uint64(0x00FF00FF00FF00FF)
+_SUM_LANES = np.uint64(0x0001000100010001)
+
 if sys.byteorder != "little":
     raise ImportError("hamsearch requires a little-endian platform")
 
@@ -198,9 +207,57 @@ def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
 
 
 def hamming_distances(codes: np.ndarray, query_words: np.ndarray) -> np.ndarray:
-    """Distances from one query to every row of a (count, words) code array."""
-    x = codes ^ query_words
-    return np.bitwise_count(x).sum(axis=1, dtype=np.uint32)
+    """Distances from one query to every row of a (count, words) code array.
+
+    Works through the rows in blocks of at most KERNEL_BLOCK_BYTES of codes:
+    XOR into a block buffer, popcount each word into a uint8 buffer, then
+    add the per-word counts up by columns into the uint32 result. Numpy
+    sums a short row axis, or broadcasts the query over one, at the cost of
+    one inner-loop call per row; here every call spans a whole block.
+    """
+    count, words = codes.shape
+    out = np.empty(count, dtype=np.uint32)
+    # one query copy per tile row, so that the XOR runs over rows of about
+    # XOR_TILE_WORDS words; a one-word query already broadcasts as a scalar
+    tile_rows = 1 if words == 1 else max(1, min(count, XOR_TILE_WORDS // words))
+    block_rows = max(1, KERNEL_BLOCK_BYTES // (8 * words) // tile_rows) * tile_rows
+    rows = min(count, block_rows)
+    xor = np.empty((rows, words), dtype=np.uint64)
+    bits = np.empty((rows, words), dtype=np.uint8)
+    tile = np.empty((tile_rows, words), dtype=np.uint64)
+    tile[:] = query_words
+    tile = tile.reshape(-1)
+    groups = words // 8
+    for lo in range(0, count, block_rows):
+        n = min(block_rows, count - lo)
+        body = n - n % tile_rows
+        x, c, acc = xor[:n], bits[:n], out[lo : lo + n]
+        np.bitwise_xor(
+            codes[lo : lo + body].reshape(-1, tile.size),
+            tile,
+            out=x[:body].reshape(-1, tile.size),
+        )
+        if body < n:
+            np.bitwise_xor(codes[lo + body : lo + n], query_words, out=x[body:])
+        np.bitwise_count(x, out=c)
+        columns = [c[:, j] for j in range(8 * groups, words)]
+        if groups:
+            # fold each group of 8 per-word counts inside its uint64 view:
+            # byte pairs into 16-bit lanes, then the four lanes into the top
+            # 16 bits by one multiply; a group counts at most 512 bits
+            g = c[:, : 8 * groups].view(np.uint64)
+            odd = x.reshape(-1)[: g.size].reshape(g.shape)  # the XOR is spent
+            np.right_shift(g, 8, out=odd)
+            odd &= _BYTE_LANES
+            g &= _BYTE_LANES
+            g += odd
+            g *= _SUM_LANES
+            g >>= 48
+            columns += [g[:, j] for j in range(groups)]
+        acc[:] = columns[0]
+        for column in columns[1:]:
+            np.add(acc, column, out=acc, casting="unsafe")
+    return out
 
 
 def range_search_oracle(dataset: CodeDataset, spec: QuerySpec) -> NeighborSet:
@@ -275,13 +332,16 @@ def _read_stream(f) -> CodeDataset:
         raise DatasetFormatError(f"unsupported version {version}")
     if width_bits == 0 or width_bits % WORD_BITS != 0:
         raise DatasetFormatError(f"width {width_bits} is not a positive multiple of 64")
-    body_bytes = count * (width_bits // 8)
-    body = f.read(body_bytes)
-    if len(body) < body_bytes:
-        raise DatasetFormatError(
-            f"truncated stream: expected {body_bytes} body bytes, got {len(body)}"
-        )
+    codes = np.empty((count, width_bits // WORD_BITS), dtype="<u8")
+    body = codes.reshape(-1).view(np.uint8)  # read straight into the codes
+    got = 0
+    while got < body.size:
+        n = f.readinto(body[got:])
+        if not n:
+            raise DatasetFormatError(
+                f"truncated stream: expected {body.size} body bytes, got {got}"
+            )
+        got += n
     if f.read(1):
         raise DatasetFormatError("count mismatch: trailing data beyond declared count")
-    codes = np.frombuffer(body, dtype="<u8").reshape(count, width_bits // WORD_BITS)
-    return CodeDataset(width_bits, codes.copy())
+    return CodeDataset(width_bits, codes)

@@ -419,6 +419,10 @@ def subcode_open(directory) -> SubCodeIndexManifest:
 
 
 def _pread_exact(fd, length, offset, shard, what):
+    if fd < 0:
+        raise QueryError(
+            f"{what} read in shard {shard.shard_index}: the index is closed"
+        )
     data = os.pread(fd, length, offset)
     if len(data) != length:
         raise QueryError(
@@ -428,22 +432,22 @@ def _pread_exact(fd, length, offset, shard, what):
     return data
 
 
-def _decode_postings(data: np.ndarray, lens: np.ndarray):
+def _decode_postings(data: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Decode concatenated postings lists in one vectorized pass.
 
-    data holds the lists back to back; lens gives each list's byte length.
-    Returns (local ids concatenated in list order, per-list entry counts).
+    data holds the lists back to back; lens gives each list's byte length,
+    all of them positive. Returns the local ids as uint32, which holds any
+    shard's ids, concatenated in list order.
     """
     if data.size == 0:
-        return np.zeros(0, dtype=np.uint64), np.zeros(len(lens), dtype=np.int64)
-    deltas, ends = varint.decode_with_ends(data)
-    byte_bounds = np.cumsum(lens)
-    counts = np.diff(np.append(0, np.searchsorted(ends, byte_bounds, side="left")))
-    group_starts = np.append(0, np.cumsum(counts[:-1])).astype(np.int64)
-    running = np.cumsum(deltas)
-    base = running[group_starts] - deltas[group_starts]
-    ids = running - np.repeat(base, counts)
-    return ids, counts
+        return np.zeros(0, dtype=np.uint32)
+    ids, ends = varint.decode_with_ends(data, np.uint32)
+    # one running sum over all lists: each list's first entry, its id
+    # itself, has the previous list's last id taken off (modulo 2**32)
+    firsts = np.searchsorted(ends, np.cumsum(lens) - lens)
+    lasts = np.add.reduceat(ids, firsts, dtype=np.uint32)[:-1]
+    ids[firsts[1:]] -= lasts
+    return np.cumsum(ids, dtype=np.uint32, out=ids)
 
 
 def _shard_term_reads(shard, geometry, spec, threshold):
@@ -485,7 +489,7 @@ def candidate_filter(
     ]
     data = np.frombuffer(b"".join(chunks), dtype=np.uint8)
     try:
-        ids, _ = _decode_postings(data, lens)
+        ids = _decode_postings(data, lens)
     except varint.VarintError as exc:
         raise QueryError(
             f"corrupt postings in shard {shard.shard_index}: {exc}"
@@ -494,9 +498,19 @@ def candidate_filter(
         raise QueryError(
             f"corrupt postings in shard {shard.shard_index}: doc id out of range"
         )
-    uniq, match = np.unique(ids, return_counts=True)
-    keep = match >= threshold
-    return CandidateSet(uniq[keep].astype(np.int64), match[keep].astype(np.int64))
+    # each list holds a doc at most once, so a doc in L lists sorts into a
+    # run of L equal ids; when L >= threshold, L - threshold + 1 of them
+    # equal the id threshold - 1 places on
+    ids.sort()
+    span = ids.size - threshold + 1
+    if span <= 0:
+        return CandidateSet.empty()
+    hits = ids if threshold == 1 else ids[:span][ids[:span] == ids[threshold - 1 :]]
+    first = np.ones(hits.size, dtype=bool)
+    np.not_equal(hits[1:], hits[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    match = np.diff(starts, append=hits.size) + (threshold - 1)
+    return CandidateSet(hits[starts].astype(np.int64), match)
 
 
 def _read_forward_rows(shard, words, firsts, counts):
@@ -519,28 +533,32 @@ def _candidate_rows(shard, words, local_ids):
 
     A batch whose runs of consecutive ids lie far apart is read run by run.
     A dense batch streams the rows it spans block by block instead and picks
-    its own rows out of each block.
+    its own rows out of each block, so that the kernel runs once per batch.
     """
     code_bytes = words * 8
     rows_per_block = max(1, SCAN_BLOCK_BYTES // code_bytes)
     for lo in range(0, local_ids.size, rows_per_block):
         batch = local_ids[lo : lo + rows_per_block]
         new_run = np.ones(batch.size, dtype=bool)
-        new_run[1:] = batch[1:] != batch[:-1] + 1
-        run_starts = np.flatnonzero(new_run)
+        np.not_equal(np.diff(batch), 1, out=new_run[1:])
         first, end = int(batch[0]), int(batch[-1]) + 1
-        if run_starts.size * DENSE_RUN_GAP_BYTES < (end - first) * code_bytes:
+        runs = np.count_nonzero(new_run)
+        if runs * DENSE_RUN_GAP_BYTES < (end - first) * code_bytes:
+            run_starts = np.flatnonzero(new_run)
             run_counts = np.diff(np.append(run_starts, batch.size))
             yield batch, _read_forward_rows(
                 shard, words, batch[run_starts].tolist(), run_counts.tolist()
             )
             continue
+        rows = np.empty((batch.size, words), dtype=np.uint64)
         for base in range(first, end, rows_per_block):
             n = min(rows_per_block, end - base)
             b_lo, b_hi = np.searchsorted(batch, (base, base + n))
             if b_lo < b_hi:
                 block = _read_forward_rows(shard, words, [base], [n])
-                yield batch[b_lo:b_hi], block[batch[b_lo:b_hi] - base]
+                np.take(block, batch[b_lo:b_hi] - base, axis=0, out=rows[b_lo:b_hi])
+                del block  # as in _scan_shard
+        yield batch, rows
 
 
 def verify(
@@ -582,8 +600,12 @@ def _scan_shard(shard: ShardDescriptor, spec: QuerySpec) -> tuple:
     hit_dists = []
     for base in range(0, shard.doc_count, rows_per_block):
         n = min(rows_per_block, shard.doc_count - base)
+        # the block is freed before the next one is read: two blocks plus
+        # the kernel's temporaries outgrow glibc's heap trim threshold, so
+        # the heap would shrink and fault its pages back in on every block
         block = _read_forward_rows(shard, words, [base], [n])
         dist = hamming_distances(block, spec.query.words)
+        del block
         hits = np.flatnonzero(dist <= spec.radius)
         if hits.size:
             hit_ids.append(shard.local_to_global(hits + base))

@@ -48,30 +48,47 @@ def decode(data) -> np.ndarray:
     return values
 
 
-def decode_with_ends(data) -> tuple[np.ndarray, np.ndarray]:
+def decode_with_ends(data, dtype=np.uint64) -> tuple[np.ndarray, np.ndarray]:
     """Decode and also return each varint's terminator byte offset.
 
     The terminator offsets let callers that concatenated several encoded
-    sequences into one buffer split the decoded values back apart. Works
-    byte-position by byte-position over the value axis, so cost scales with
-    the number of values times the longest encoding actually present.
+    sequences into one buffer split the decoded values back apart. Values
+    come out as `dtype`, an unsigned type that the caller knows holds them;
+    a narrower type halves the memory a decode takes. Works back from each
+    terminator, one byte position per step, over only the varints that
+    still have bytes left (Horner's rule, most significant group first), so
+    cost scales with the number of values times the longest encoding
+    actually present.
     """
     data = np.asarray(data, dtype=np.uint8)
     if data.size == 0:
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)
     ends = np.flatnonzero(data < 128)
     if ends.size == 0 or ends[-1] != data.size - 1:
         raise VarintError("unterminated varint at end of buffer")
-    starts = np.empty(ends.size, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts
-    max_extra = int(lengths.max())  # bytes beyond the first
-    if max_extra >= MAX_VARINT_BYTES:
-        raise VarintError("varint longer than 10 bytes")
-    values = (data[starts] & np.uint8(0x7F)).astype(np.uint64)
-    for j in range(1, max_extra + 1):
-        sel = np.flatnonzero(lengths >= j)
-        byte = (data[starts[sel] + j] & np.uint8(0x7F)).astype(np.uint64)
-        values[sel] |= byte << np.uint64(7 * j)
-    return values, ends
+    max_bytes = -(-np.iinfo(dtype).bits // 7)
+    values = data[ends].astype(dtype)
+    # `live` indexes the varints whose byte at `pos` is a continuation byte,
+    # the next to consume; for a terminator at 0, index -1 reads the
+    # buffer's last byte, itself a terminator. The offsets are found again
+    # at the end rather than held through the loop, and temporaries are
+    # updated in place: together they set the decode's peak memory.
+    ends -= 1
+    live = np.flatnonzero(data[ends] >= 128)
+    pos = ends[live]
+    del ends
+    for _ in range(1, max_bytes):
+        if live.size == 0:
+            break
+        group = values[live]
+        group <<= 7
+        group |= data[pos] & np.uint8(0x7F)
+        values[live] = group
+        del group
+        pos -= 1
+        longer = data[pos] >= 128
+        live = live[longer]
+        pos = pos[longer]
+    if live.size:
+        raise VarintError(f"varint longer than {max_bytes} bytes")
+    return values, np.flatnonzero(data < 128)

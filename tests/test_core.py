@@ -1,7 +1,10 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsearch import (
     BinaryCode,
@@ -13,8 +16,10 @@ from hamsearch import (
     dataset_write,
     extract_subcode,
     hamming_distance,
+    hamming_distances,
     range_search_oracle,
 )
+from hamsearch import core
 from hamsearch.core import subcode_columns
 
 from conftest import bitwise_distance, python_loop_distance, random_dataset
@@ -65,6 +70,89 @@ def test_metric_axioms():
         assert hamming_distance(a, a) == 0
         assert hamming_distance(a, b) == hamming_distance(b, a)
         assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
+
+
+# --- hamming_distances --------------------------------------------------------
+
+def _per_bit_distances(codes, query_words):
+    """Reference: unpack every row and the query to bits and count the
+    positions that differ. No XOR, no popcount."""
+    count, words = codes.shape
+    rows = np.ascontiguousarray(codes, dtype=np.uint64).view(np.uint8)
+    bits = np.unpackbits(rows.reshape(count, words * 8), axis=1, bitorder="little")
+    q = np.unpackbits(query_words.view(np.uint8), bitorder="little")
+    return np.count_nonzero(bits != q, axis=1)
+
+
+def _words(rng, kind, shape):
+    if kind == "zeros":
+        return np.zeros(shape, dtype=np.uint64)
+    if kind == "ones":
+        return np.full(shape, ~np.uint64(0))
+    words = rng.integers(0, 2**64, shape, dtype=np.uint64)
+    if kind == "sparse":
+        words &= rng.integers(0, 2**64, shape, dtype=np.uint64)
+        words &= rng.integers(0, 2**64, shape, dtype=np.uint64)
+    return words
+
+
+def _laid_out(codes, layout, rng):
+    """The same rows as a contiguous array, a slice of a larger buffer,
+    rows gathered by index, or a read-only view of bytes."""
+    count, words = codes.shape
+    if layout == "slice":
+        buffer = _words(rng, "random", (count + 5, words))
+        buffer[2 : 2 + count] = codes
+        return buffer[2 : 2 + count]
+    if layout == "gather":
+        block = _words(rng, "random", (2 * count + 1, words))
+        idx = rng.permutation(2 * count + 1)[:count]
+        block[idx] = codes
+        return block[idx]
+    if layout == "frombuffer":
+        view = np.frombuffer(codes.tobytes(), dtype="<u8").reshape(count, words)
+        assert not view.flags.writeable
+        return view
+    return codes
+
+
+@pytest.mark.parametrize("width", [64, 128, 192, 256, 576, 1024, 4096])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hamming_distances_equal_per_bit_reference(width, data):
+    words = width // 64
+    # a tile of t rows and a block of t * k rows, patched small so that
+    # row counts around and across block edges stay cheap
+    tile_rows = data.draw(st.integers(1, 4))
+    block_rows = tile_rows * data.draw(st.integers(1, 4))
+    count = data.draw(
+        st.one_of(
+            st.sampled_from([0, 1, block_rows - 1, block_rows, block_rows + 1]),
+            st.integers(2 * block_rows, 5 * block_rows + 3),
+        )
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    codes = _words(rng, data.draw(st.sampled_from(["random", "zeros", "ones", "sparse"])),
+                   (count, words))
+    query = _words(rng, data.draw(st.sampled_from(["random", "zeros", "ones"])), words)
+    rows = _laid_out(codes, data.draw(st.sampled_from(["plain", "slice", "gather", "frombuffer"])), rng)
+    with mock.patch.object(core, "KERNEL_BLOCK_BYTES", block_rows * width // 8), \
+            mock.patch.object(core, "XOR_TILE_WORDS", tile_rows * words):
+        got = hamming_distances(rows, query)
+    assert got.dtype == np.uint32 and got.shape == (count,)
+    assert got.tolist() == _per_bit_distances(codes, query).tolist()
+
+
+def test_hamming_distances_hold_widths_above_uint16():
+    # 1040 words: every distance exceeds 65535, and every 8-word group of
+    # per-word counts reaches its maximum of 512
+    width = 1040 * 64
+    codes = np.full((3, 1040), ~np.uint64(0))
+    codes[1, 5] = 0
+    codes[2, :] = 0
+    got = hamming_distances(codes, np.zeros(1040, dtype=np.uint64))
+    assert got.tolist() == [width, width - 64, 0]
+    assert got.tolist() == _per_bit_distances(codes, np.zeros(1040, dtype=np.uint64)).tolist()
 
 
 # --- range_search_oracle -----------------------------------------------------

@@ -377,6 +377,23 @@ def test_truncated_forward_file_raises_query_error(tmp_path):
     manifest.close()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, q: subcode_range_search(m, QuerySpec(q, 3)),  # filter + verify
+        lambda m, q: subcode_range_search(m, QuerySpec(q, 64)),  # bypass scan
+        lambda m, q: read_code(m, 7),
+    ],
+    ids=["filter", "bypass_scan", "read_code"],
+)
+def test_closed_index_raises_query_error(tmp_path, call):
+    ds = random_dataset(200, 64, seed=66)
+    manifest = subcode_build(ds, plan_geometry(64, 8), 2, tmp_path / "idx")
+    manifest.close()
+    with pytest.raises(QueryError, match="closed"):
+        call(manifest, ds.code(7))
+
+
 # --- full queries ---------------------------------------------------------------
 
 def test_bypass_full_radius(tmp_path):

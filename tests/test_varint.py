@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsearch import varint
 
@@ -54,3 +56,25 @@ def test_decode_with_ends_splits_concatenated_streams():
     assert np.array_equal(values, np.concatenate([a, b]))
     # number of varints ending before the boundary equals len(a)
     assert int(np.searchsorted(ends, ea.size, side="left")) == a.size
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    lists=st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=30), max_size=6),
+    dtype=st.sampled_from([np.uint32, np.uint64]),
+)
+def test_decode_with_ends_equals_encoded_values(lists, dtype):
+    # several sequences back to back, as postings lists are read
+    parts = [varint.encode(np.array(v, dtype=np.uint64)) for v in lists]
+    data = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+    values, ends = varint.decode_with_ends(data, dtype)
+    assert values.dtype == dtype
+    assert values.tolist() == [x for v in lists for x in v]
+    assert ends.tolist() == np.flatnonzero(data < 128).tolist()
+
+
+def test_overlong_for_narrow_type_raises():
+    # 2**35 takes 6 bytes; a uint32 holds at most 5
+    data = varint.encode(np.array([2**35], dtype=np.uint64))
+    with pytest.raises(varint.VarintError, match="longer than 5"):
+        varint.decode_with_ends(data, np.uint32)
