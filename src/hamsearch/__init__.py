@@ -54,9 +54,7 @@ from .bench import (
     BenchConfig,
     BenchReport,
     effective_query_count,
-    measure_build,
     measure_latency,
-    measure_resident,
     run_suite,
     verify_equivalence,
 )
@@ -105,9 +103,7 @@ __all__ = [
     "BenchConfig",
     "BenchReport",
     "effective_query_count",
-    "measure_build",
     "measure_latency",
-    "measure_resident",
     "run_suite",
     "verify_equivalence",
 ]

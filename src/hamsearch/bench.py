@@ -32,15 +32,13 @@ from .core import (
     QuerySpec,
     dataset_read,
     dataset_write,
-    hamming_distances,
+    range_search_oracle,
 )
 from .datagen import SyntheticSpec, gen_synthetic
 from .flat import flat_build, flat_range_search
-from .memprobe import ResidentSampler
 from .subcode import (
     filter_bypassed,
     plan_geometry,
-    subcode_build,
     subcode_open,
     subcode_range_search,
 )
@@ -159,27 +157,6 @@ class LatencyStats:
         )
 
 
-def measure_build(backend: str, dataset: CodeDataset, *, workers: int = 5,
-                  sub_width: int = 8, shard_count: int = 5, directory=None):
-    """Wall-clock seconds from build start to a queryable index.
-
-    For the sub-code backend this includes every file write and the
-    completion marker. Returns (seconds, index_or_manifest).
-    """
-    start = time.perf_counter()
-    if backend == "flat":
-        built = flat_build(dataset, workers)
-    elif backend == "subcode":
-        geometry = plan_geometry(dataset.width_bits, sub_width)
-        built = subcode_build(dataset, geometry, shard_count, directory)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    elapsed = time.perf_counter() - start
-    if elapsed < 0:
-        raise RuntimeError("negative interval from monotonic clock")
-    return elapsed, built
-
-
 def measure_latency(search, queries, *, warmup: bool = True) -> LatencyStats:
     """Per-query wall times over a sequential pass; optional warm-up pass
     (excluded from the stats) for warm-condition runs."""
@@ -196,15 +173,6 @@ def measure_latency(search, queries, *, warmup: bool = True) -> LatencyStats:
     if np.any(times < 0):
         raise RuntimeError("negative interval from monotonic clock")
     return LatencyStats.from_times(times)
-
-
-def measure_resident(fn, *, interval: float = 0.1):
-    """Run fn() while sampling this process's resident bytes; returns
-    (result, peak_bytes_or_None)."""
-    sampler = ResidentSampler(interval=interval)
-    with sampler:
-        result = fn()
-    return result, sampler.peak()
 
 
 @dataclass
@@ -243,11 +211,12 @@ def verify_equivalence(dataset: CodeDataset, queries, radii, *,
     failures = []
     checked = 0
     for qi, code in enumerate(queries):
-        dist = hamming_distances(dataset.codes, code.words)
+        # one oracle pass per query at the widest radius serves every radius
+        truth = range_search_oracle(dataset, QuerySpec(code, max(radii)))
         for radius in radii:
             checked += 1
-            hits = np.flatnonzero(dist <= radius)
-            expected = set(zip(hits.tolist(), dist[hits].tolist()))
+            keep = truth.distances <= radius
+            expected = set(zip(truth.ids[keep].tolist(), truth.distances[keep].tolist()))
             spec = QuerySpec(code, radius)
             for backend, search in (
                 ("flat", lambda s: flat_range_search(flat_index, s)),

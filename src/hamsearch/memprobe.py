@@ -12,11 +12,6 @@ def read_rss_bytes(pid: int | str = "self") -> int | None:
     return _read_status_field(pid, "VmRSS:")
 
 
-def read_peak_rss_bytes(pid: int | str = "self") -> int | None:
-    """Lifetime peak resident set size (VmHWM), or None if unavailable."""
-    return _read_status_field(pid, "VmHWM:")
-
-
 def _read_status_field(pid, field) -> int | None:
     try:
         with open(f"/proc/{pid}/status") as f:

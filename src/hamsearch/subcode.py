@@ -36,6 +36,7 @@ from .core import (
     NeighborSet,
     QuerySpec,
     _check_subcode_geometry,
+    _check_width,
     hamming_distances,
     subcode_columns,
 )
@@ -99,6 +100,7 @@ class SubCodeGeometry:
 
 def plan_geometry(width_bits: int, sub_width: int = DEFAULT_SUB_WIDTH) -> SubCodeGeometry:
     """Validate and return a sub-code geometry."""
+    _check_width(width_bits)
     _check_subcode_geometry(width_bits, sub_width)
     return SubCodeGeometry(width_bits, sub_width)
 
@@ -108,51 +110,77 @@ def filter_bypassed(geometry: SubCodeGeometry, radius: int) -> bool:
     return geometry.subcode_count - radius <= 0
 
 
-class _DenseTerms:
-    """Term table for 8-bit sub-codes: direct (position, value) addressing.
+def _term_keys(positions: np.ndarray, values: np.ndarray, sub_width: int) -> np.ndarray:
+    """Fixed-width byte keys whose byte order is (position, value) order:
+    both fields big-endian, the position in 2 bytes and the value in
+    sub_width / 8. This holds at every width, 64 bits included."""
+    key = np.empty(values.size, dtype=[("position", ">u2"), ("value", f">u{sub_width // 8}")])
+    key["position"] = positions
+    key["value"] = values
+    return key.view(f"S{key.itemsize}")
 
-    Offsets narrow to u32 whenever the postings file fits, which roughly
-    halves the resident footprint of an opened index.
+
+@dataclass(frozen=True)
+class _TermTable:
+    """One shard's term dictionary: its (position, value) keys, strictly
+    increasing, and the n + 1 cumulative byte ends of their postings lists.
+
+    Ends are uint32 whenever the postings file is under 4 GiB.
     """
 
-    def __init__(self, records: np.ndarray, s: int):
-        off_dtype = np.uint64
-        if records.size == 0 or int(records["offset"][-1]) < 2**32:
-            off_dtype = np.uint32
-        self.offsets = np.zeros((s, 256), dtype=off_dtype)
-        self.lengths = np.zeros((s, 256), dtype=np.uint32)
-        pos = records["position"].astype(np.int64)
-        val = records["value"].astype(np.int64)
-        self.offsets[pos, val] = records["offset"]
-        self.lengths[pos, val] = records["length"]
+    keys: np.ndarray
+    ends: np.ndarray
 
-    def lookup(self, query_values: np.ndarray):
-        idx = np.arange(self.offsets.shape[0])
-        val = query_values.astype(np.int64)
-        return self.offsets[idx, val], self.lengths[idx, val]
+    def lookup(self, keys: np.ndarray):
+        """(offsets, lengths) of the postings lists of the keys present in
+        the table, in the order of the keys; absent keys are left out."""
+        idx = np.searchsorted(self.keys, keys)
+        present = idx < self.keys.size
+        present[present] = self.keys[idx[present]] == keys[present]
+        idx = idx[present]
+        starts = self.ends[idx]
+        return starts, self.ends[idx + 1] - starts
 
 
-class _SortedTerms:
-    """Term table for wider sub-codes: per-position sorted value arrays."""
+def _open_term_table(trm_path: Path, pst_path: Path, geometry: SubCodeGeometry) -> _TermTable:
+    """Read one shard's term records and check them against the geometry and
+    the postings file; raises IndexOpenError naming the file on a fault."""
 
-    def __init__(self, records: np.ndarray, s: int):
-        self.values = records["value"].copy()
-        self.offsets = records["offset"].copy()
-        self.lengths = records["length"].copy()
-        self.pos_bounds = np.searchsorted(records["position"], np.arange(s + 1))
+    def corrupt(fault):
+        return IndexOpenError(f"corrupt term table {trm_path.name}: {fault}")
 
-    def lookup(self, query_values: np.ndarray):
-        s = self.pos_bounds.size - 1
-        offs = np.zeros(s, dtype=np.uint64)
-        lens = np.zeros(s, dtype=np.uint32)
-        for p in range(s):
-            lo, hi = self.pos_bounds[p], self.pos_bounds[p + 1]
-            v = np.uint64(query_values[p])
-            i = lo + np.searchsorted(self.values[lo:hi], v)
-            if i < hi and self.values[i] == v:
-                offs[p] = self.offsets[i]
-                lens[p] = self.lengths[i]
-        return offs, lens
+    if trm_path.stat().st_size % TERM_DTYPE.itemsize != 0:
+        raise IndexOpenError(f"truncated term table {trm_path.name}")
+    records = np.fromfile(trm_path, dtype=TERM_DTYPE)
+    pst_size = pst_path.stat().st_size
+    sw = geometry.sub_width
+    positions, values, lengths = records["position"], records["value"], records["length"]
+    # a value is checked before the keys are made: they keep only its low
+    # sub_width bits
+    if sw < 64 and int(values.max(initial=0)) >> sw:
+        raise corrupt("value out of range")
+    keys = _term_keys(positions, values, sw)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise corrupt("terms are not strictly increasing")
+    # sorted keys put the largest position last
+    if np.any(positions[-1:] >= geometry.subcode_count):
+        raise corrupt("position out of range")
+    if int(lengths.min(initial=1)) == 0:
+        raise corrupt("empty postings list")
+    offsets = records["offset"]
+    end = int(offsets[-1]) + int(lengths[-1]) if records.size else 0
+    # the u8 differences may wrap, but from 0 in steps of u4 lengths the
+    # offsets then equal the lengths' running sums exactly
+    if (
+        np.any(offsets[:1] != 0)
+        or end != pst_size
+        or not np.array_equal(np.diff(offsets), lengths[:-1])
+    ):
+        raise corrupt(f"lists do not run contiguously from 0 to the end of {pst_path.name}")
+    ends = np.empty(records.size + 1, dtype=np.uint32 if pst_size < 2**32 else np.uint64)
+    ends[:-1] = offsets
+    ends[-1] = pst_size
+    return _TermTable(keys, ends)
 
 
 @dataclass(eq=False)
@@ -169,7 +197,7 @@ class ShardDescriptor:
     term_table_path: Path
     postings_path: Path
     forward_path: Path
-    _terms: object = field(default=None, repr=False)
+    _terms: _TermTable = field(default=None, repr=False)
     _pst_fd: int = field(default=-1, repr=False)
     _fwd_fd: int = field(default=-1, repr=False)
 
@@ -186,14 +214,13 @@ class ShardDescriptor:
 
 @dataclass(eq=False)
 class CandidateSet:
-    """Shard-local docs surviving the filter, with matched-term counts."""
+    """Shard-local docs surviving the filter, sorted and unique."""
 
     local_ids: np.ndarray
-    match_counts: np.ndarray
 
     @classmethod
     def empty(cls) -> "CandidateSet":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return cls(np.empty(0, dtype=np.int64))
 
     def __len__(self):
         return self.local_ids.size
@@ -366,6 +393,8 @@ def subcode_open(directory) -> SubCodeIndexManifest:
         geometry = plan_geometry(width_bits, sub_width)
     except ValueError as exc:
         raise IndexOpenError(f"corrupt manifest in {directory}: {exc}") from exc
+    if shard_count < 1:
+        raise IndexOpenError(f"corrupt manifest in {directory}: shard_count is 0")
 
     code_bytes = width_bits // 8
     shards = []
@@ -381,18 +410,6 @@ def subcode_open(directory) -> SubCodeIndexManifest:
                     f"truncated forward file {fwd_path.name}: expected "
                     f"{doc_count * code_bytes} bytes"
                 )
-            trm_size = trm_path.stat().st_size
-            if trm_size % TERM_DTYPE.itemsize != 0:
-                raise IndexOpenError(f"truncated term table {trm_path.name}")
-            records = np.fromfile(trm_path, dtype=TERM_DTYPE)
-            pst_size = pst_path.stat().st_size
-            if records.size:
-                if int(records["position"].max()) >= geometry.subcode_count:
-                    raise IndexOpenError(f"corrupt term table {trm_path.name}")
-                end = int(records["offset"][-1]) + int(records["length"][-1])
-                if end > pst_size:
-                    raise IndexOpenError(f"truncated postings file {pst_path.name}")
-            table_cls = _DenseTerms if sub_width == 8 else _SortedTerms
             shard = ShardDescriptor(
                 shard_index=k,
                 shard_count=shard_count,
@@ -400,7 +417,7 @@ def subcode_open(directory) -> SubCodeIndexManifest:
                 term_table_path=trm_path,
                 postings_path=pst_path,
                 forward_path=fwd_path,
-                _terms=table_cls(records, geometry.subcode_count),
+                _terms=_open_term_table(trm_path, pst_path, geometry),
                 _pst_fd=os.open(pst_path, os.O_RDONLY),
                 _fwd_fd=os.open(fwd_path, os.O_RDONLY),
             )
@@ -452,15 +469,15 @@ def _decode_postings(data: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 def _shard_term_reads(shard, geometry, spec, threshold):
     """Postings (offset, length) pairs for the query's present terms, or
-    None when too few lists are non-empty for any doc to reach the match
-    threshold. Offsets ascend by construction: the build lays lists out in
+    None when too few of its terms are present for any doc to reach the
+    match threshold. Offsets ascend by construction: the build lays lists out in
     (position, value) order and the query takes one value per position."""
-    query_values = spec.query.words.view(f"<u{geometry.sub_width // 8}")
-    offsets, lengths = shard._terms.lookup(query_values)
-    present = lengths > 0
-    if int(present.sum()) < threshold:
+    sw = geometry.sub_width
+    values = spec.query.words.view(f"<u{sw // 8}")
+    offsets, lengths = shard._terms.lookup(_term_keys(np.arange(values.size), values, sw))
+    if lengths.size < threshold:
         return None
-    return offsets[present].astype(np.int64), lengths[present].astype(np.int64)
+    return offsets.astype(np.int64), lengths.astype(np.int64)
 
 
 def candidate_filter(
@@ -508,9 +525,7 @@ def candidate_filter(
     hits = ids if threshold == 1 else ids[:span][ids[:span] == ids[threshold - 1 :]]
     first = np.ones(hits.size, dtype=bool)
     np.not_equal(hits[1:], hits[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    match = np.diff(starts, append=hits.size) + (threshold - 1)
-    return CandidateSet(hits[starts].astype(np.int64), match)
+    return CandidateSet(hits[first].astype(np.int64))
 
 
 def _read_forward_rows(shard, words, firsts, counts):

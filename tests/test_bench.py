@@ -14,9 +14,7 @@ from hamsearch import (
     effective_query_count,
     flat_build,
     flat_range_search,
-    measure_build,
     measure_latency,
-    measure_resident,
     plan_geometry,
     run_suite,
     subcode_build,
@@ -100,16 +98,6 @@ def test_effective_query_count_scales():
 
 # --- measurement ops ------------------------------------------------------------
 
-def test_measure_build_directional(tmp_path):
-    ds = random_dataset(20_000, 64, seed=70)
-    flat_seconds, _ = measure_build("flat", ds, workers=2)
-    sub_seconds, manifest = measure_build(
-        "subcode", ds, sub_width=8, shard_count=3, directory=tmp_path / "idx"
-    )
-    manifest.close()
-    assert 0 < flat_seconds < sub_seconds
-
-
 def test_measure_latency_empty_query_set():
     with pytest.raises(ValueError, match="empty query set"):
         measure_latency(lambda q: q, [])
@@ -134,13 +122,10 @@ def test_measure_resident_probe_selftest():
     if read_rss_bytes() is None:
         pytest.skip("no /proc on this platform")
     before = read_rss_bytes()
-
-    def grab():
+    with ResidentSampler(interval=0.05) as sampler:
         block = np.ones(256 * 1024 * 1024 // 8, dtype=np.float64)
         time.sleep(0.25)  # give the sampler a window
-        return block
-
-    block, peak = measure_resident(grab, interval=0.05)
+    peak = sampler.peak()
     assert peak is not None
     assert peak - before >= 200 * 1024 * 1024
     del block

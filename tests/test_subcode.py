@@ -1,4 +1,6 @@
 import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,6 +34,7 @@ from hamsearch.subcode import (
     MANIFEST_NAME,
     TERM_DTYPE,
     CandidateSet,
+    SubCodeGeometry,
     _shard_doc_count,
 )
 
@@ -51,6 +54,12 @@ def test_plan_geometry_rejects_bad_widths():
         plan_geometry(64, 12)
     with pytest.raises(ValueError):
         plan_geometry(64, 128)
+
+
+@pytest.mark.parametrize("width", [0, 32, -64])
+def test_plan_geometry_rejects_widths_not_multiple_of_64(width):
+    with pytest.raises(ValueError, match="multiple of 64"):
+        plan_geometry(width, 8)
 
 
 def test_shard_doc_counts_balanced():
@@ -203,6 +212,140 @@ def test_open_truncated_forward_file(tmp_path):
         subcode_open(tmp_path / "idx")
 
 
+def test_open_rejects_zero_shard_count(tmp_path):
+    ds = random_dataset(100, 64, seed=48)
+    subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx").close()
+    manifest_path = tmp_path / "idx" / MANIFEST_NAME
+    raw = bytearray(manifest_path.read_bytes())
+    raw[16:20] = (0).to_bytes(4, "little")  # shard_count
+    manifest_path.write_bytes(bytes(raw))
+    with pytest.raises(IndexOpenError, match="shard_count"):
+        subcode_open(tmp_path / "idx")
+
+
+# --- term table -----------------------------------------------------------------
+
+def _edit_terms(directory, edit):
+    trm = directory / "shard-0.trm"
+    records = np.fromfile(trm, dtype=TERM_DTYPE)
+    edit(records)
+    trm.write_bytes(records.tobytes())
+
+
+def _swap_first_two(records):
+    records[[0, 1]] = records[[1, 0]]
+
+
+def _append_byte(path):
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+@pytest.mark.parametrize(
+    "sub_width, corrupt, match",
+    [
+        (16, lambda d: _edit_terms(d, _swap_first_two), "strictly increasing"),
+        (8, lambda d: _edit_terms(d, lambda r: r["position"].__setitem__(-1, 8)),
+         "position out of range"),
+        (8, lambda d: _edit_terms(d, lambda r: r["value"].__setitem__(0, 256)),
+         "value out of range"),
+        (16, lambda d: _edit_terms(d, lambda r: r["length"].__setitem__(3, 0)),
+         "empty postings list"),
+        (16, lambda d: _edit_terms(d, lambda r: r["offset"].__setitem__(2, r["offset"][2] + 1)),
+         "contiguously"),
+        (8, lambda d: (_edit_terms(d, lambda r: r["offset"].__iadd__(1)),
+                       _append_byte(d / "shard-0.pst")), "contiguously from 0"),
+        (8, lambda d: _append_byte(d / "shard-0.pst"), "end of shard-0.pst"),
+        (16, lambda d: _append_byte(d / "shard-0.trm"), "truncated term table shard-0.trm"),
+    ],
+    ids=["unsorted", "position", "value", "empty_list", "offset_gap", "first_offset",
+         "postings_size", "truncated"],
+)
+def test_open_rejects_corrupt_term_table(tmp_path, sub_width, corrupt, match):
+    ds = random_dataset(500, 64, seed=67)
+    subcode_build(ds, plan_geometry(64, sub_width), 2, tmp_path / "idx").close()
+    corrupt(tmp_path / "idx")
+    with pytest.raises(IndexOpenError, match=match):
+        subcode_open(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("sub_width", [8, 16])
+def test_term_table_bit_flips_answer_or_fail_typed(tmp_path, sub_width):
+    ds = random_dataset(4000, 64, seed=68, cluster_count=40, flip_probability=0.05)
+    geometry = plan_geometry(64, sub_width)
+    subcode_build(ds, geometry, 2, tmp_path / "idx").close()
+    paths = sorted((tmp_path / "idx").glob("shard-*.trm"))
+    originals = [p.read_bytes() for p in paths]
+    file_ends = np.cumsum([len(raw) for raw in originals])
+    rng = np.random.default_rng(69)
+    queries = [ds.code(int(i)) for i in rng.choice(ds.count, 4, replace=False)]
+    radii = (0, 1, geometry.subcode_count - 1)
+    typed = 0
+    # one bit at a time, drawn uniformly over all term-table bytes
+    for bit in rng.integers(0, int(file_ends[-1]) * 8, 150):
+        k = int(np.searchsorted(file_ends, bit // 8, side="right"))
+        raw = bytearray(originals[k])
+        raw[bit // 8 - (int(file_ends[k]) - len(raw))] ^= 1 << int(bit % 8)
+        paths[k].write_bytes(bytes(raw))
+        try:
+            with subcode_open(tmp_path / "idx") as manifest:
+                for q in queries:
+                    for r in radii:
+                        subcode_range_search(manifest, QuerySpec(q, r))
+        except (IndexOpenError, QueryError):
+            typed += 1
+        finally:
+            paths[k].write_bytes(originals[k])
+    assert typed > 0
+
+
+@pytest.mark.parametrize("sub_width", [8, 16, 32, 64])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_term_lookup_equals_dict_reference(sub_width, data):
+    s = data.draw(st.integers(1, 6))
+    term = st.tuples(st.integers(0, s - 1), st.integers(0, 2**sub_width - 1))
+    lists = data.draw(
+        st.one_of(st.just({}), st.dictionaries(term, st.integers(1, 40), max_size=30))
+    )
+    terms = sorted(lists)
+    records = np.zeros(len(terms), dtype=TERM_DTYPE)
+    records["position"] = [p for p, _ in terms]
+    records["value"] = np.array([v for _, v in terms], dtype=np.uint64)
+    records["length"] = [lists[t] for t in terms]
+    records["offset"] = np.cumsum(records["length"]) - records["length"]
+    reference = {
+        t: (int(o), int(n)) for t, o, n in zip(terms, records["offset"], records["length"])
+    }
+    probes = data.draw(st.lists(term, max_size=12)) + terms[:1] + terms[-1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        trm, pst = Path(tmp) / "t.trm", Path(tmp) / "t.pst"
+        trm.write_bytes(records.tobytes())
+        pst.write_bytes(bytes(int(records["length"].sum())))
+        geometry = SubCodeGeometry(s * sub_width, sub_width)  # any s, unvalidated
+        table = subcode._open_term_table(trm, pst, geometry)
+    keys = subcode._term_keys(
+        np.array([p for p, _ in probes]), np.array([v for _, v in probes], dtype=np.uint64),
+        sub_width,
+    )
+    offsets, lengths = table.lookup(keys)
+    wanted = [reference[t] for t in probes if t in reference]
+    assert list(zip(offsets.tolist(), lengths.tolist())) == wanted
+
+
+@pytest.mark.parametrize("sub_width", [32, 64])
+def test_wide_subcodes_equal_oracle(tmp_path, sub_width):
+    ds = random_dataset(3000, 256, seed=70, cluster_count=20, flip_probability=0.01)
+    geometry = plan_geometry(256, sub_width)
+    manifest = subcode_build(ds, geometry, 3, tmp_path / "idx")
+    queries = [ds.code(i) for i in (0, 17, 1234, 2999)] + [BinaryCode.ones(256)]
+    for q in queries:
+        # every filter threshold, then the bypass scan
+        for r in range(geometry.subcode_count + 2):
+            spec = QuerySpec(q, r)
+            assert subcode_range_search(manifest, spec) == range_search_oracle(ds, spec)
+    manifest.close()
+
+
 # --- candidate filter ---------------------------------------------------------
 
 def test_filter_radius_zero_finds_exact_duplicates(tmp_path):
@@ -220,7 +363,7 @@ def test_filter_radius_zero_finds_exact_duplicates(tmp_path):
     for shard in manifest.shards:
         cands = candidate_filter(shard, geometry, spec)
         # threshold == s: only docs matching every sub-code survive
-        assert all(cands.match_counts == geometry.subcode_count)
+        assert set(shard.local_to_global(cands.local_ids).tolist()) <= {0, 1, 2}
         total += len(cands)
     assert total == 3
     manifest.close()
@@ -233,13 +376,13 @@ def test_filter_one_flip_survives_threshold():
     flipped = perturb(base, 1, seed=7)
     ds = CodeDataset(64, np.vstack([flipped.words]))
     geometry = plan_geometry(64, 16)
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         manifest = subcode_build(ds, geometry, 1, tmp)
         cands = candidate_filter(manifest.shards[0], geometry, QuerySpec(base, 1))
         assert cands.local_ids.tolist() == [0]
-        assert cands.match_counts[0] >= geometry.subcode_count - 1
+        # it shares exactly s - 1 sub-codes, so threshold s drops it
+        exact = candidate_filter(manifest.shards[0], geometry, QuerySpec(base, 0))
+        assert 0 not in exact.local_ids
         manifest.close()
 
 
@@ -313,10 +456,7 @@ def test_verify_all_candidates_equals_oracle_restricted_to_shard(tmp_path):
     for r in (10, 40, 128):
         truth = range_search_oracle(ds, QuerySpec(q, r)).as_set()
         for shard in manifest.shards:
-            everyone = CandidateSet(
-                np.arange(shard.doc_count, dtype=np.int64),
-                np.zeros(shard.doc_count, dtype=np.int64),
-            )
+            everyone = CandidateSet(np.arange(shard.doc_count, dtype=np.int64))
             got = verify(shard, everyone, QuerySpec(q, r)).as_set()
             expected = {
                 (i, d) for i, d in truth if i % manifest.shard_count == shard.shard_index
@@ -351,14 +491,14 @@ def test_verify_reads_sparse_runs_exactly(tmp_path, monkeypatch):
     spec = QuerySpec(ds.code(9), 64)
     # three runs of consecutive ids, far apart: only their rows are read
     sparse = np.array([3, 4, 5, 1500, 3000, 3001], dtype=np.int64)
-    got = verify(shard, CandidateSet(sparse, np.zeros_like(sparse)), spec)
+    got = verify(shard, CandidateSet(sparse), spec)
     assert sum(reads) == sparse.size * 8
     assert len(reads) == 3
     assert np.array_equal(got.ids, shard.local_to_global(sparse))
     # runs a few rows apart: one read of the rows they span
     reads.clear()
     dense = np.array([3, 4, 5, 100, 250, 251], dtype=np.int64)
-    got = verify(shard, CandidateSet(dense, np.zeros_like(dense)), spec)
+    got = verify(shard, CandidateSet(dense), spec)
     assert reads == [(251 - 3 + 1) * 8]
     assert np.array_equal(got.ids, shard.local_to_global(dense))
     manifest.close()
@@ -506,7 +646,7 @@ def test_verify_equals_oracle_on_candidate_ids(small_indexes, width, data):
     dense_gap = data.draw(st.sampled_from([0, 4 * width // 8, 1 << 40]))
     with mock.patch.object(subcode, "SCAN_BLOCK_BYTES", block_rows * width // 8), \
             mock.patch.object(subcode, "DENSE_RUN_GAP_BYTES", dense_gap):
-        got = verify(shard, CandidateSet(local_ids, np.zeros_like(local_ids)), spec)
+        got = verify(shard, CandidateSet(local_ids), spec)
     truth = range_search_oracle(ds, spec)
     wanted = np.isin(truth.ids, shard.local_to_global(local_ids))
     assert got == NeighborSet(truth.ids[wanted], truth.distances[wanted])
