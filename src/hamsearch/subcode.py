@@ -12,12 +12,20 @@ Index directory layout (all integers little-endian):
   manifest      magic HSI1, version u32, width_bits u32, sub_width u32,
                 shard_count u32, dataset_count u32
   shard-k.fwd   raw codes in local-id order, same packing as a dataset body
-  shard-k.trm   records (position u16, value u64, offset u64,
-                length u32, freq u32) sorted by (position, value)
-  shard-k.pst   concatenated postings lists; each list is a varint sequence
-                of deltas of strictly increasing local doc ids (first entry
-                is the id itself)
+  shard-k.trm   the shard's n term keys, then their n postings list byte
+                lengths as u32. A key is 2 + sub_width / 8 bytes: position
+                and value, both big-endian, so that byte order is
+                (position, value) order; the keys are strictly increasing
+  shard-k.pst   the postings lists back to back in key order; each list is
+                a varint sequence of deltas of strictly increasing local doc
+                ids (first entry is the id itself)
   COMPLETE      marker written last; open refuses directories lacking it
+
+A list's offset is the sum of the lengths before it. Open checks that the
+term table is a whole number of (key, length) pairs, that the keys are
+strictly increasing with every position below s, that no list is empty and
+that the lengths sum to the postings file's size. A value below 2^sub_width
+holds by construction: it is stored in sub_width bits.
 """
 
 from __future__ import annotations
@@ -42,20 +50,10 @@ from .core import (
 )
 
 MANIFEST_MAGIC = b"HSI1"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest"
 COMPLETE_NAME = "COMPLETE"
 _MANIFEST = struct.Struct("<4sIIIII")
-
-TERM_DTYPE = np.dtype(
-    [
-        ("position", "<u2"),
-        ("value", "<u8"),
-        ("offset", "<u8"),
-        ("length", "<u4"),
-        ("freq", "<u4"),
-    ]
-)
 
 DEFAULT_SHARDS = 5
 DEFAULT_SUB_WIDTH = 16
@@ -110,11 +108,15 @@ def filter_bypassed(geometry: SubCodeGeometry, radius: int) -> bool:
     return geometry.subcode_count - radius <= 0
 
 
-def _term_keys(positions: np.ndarray, values: np.ndarray, sub_width: int) -> np.ndarray:
+def _key_dtype(sub_width: int) -> np.dtype:
+    return np.dtype([("position", ">u2"), ("value", f">u{sub_width // 8}")])
+
+
+def _term_keys(positions, values: np.ndarray, sub_width: int) -> np.ndarray:
     """Fixed-width byte keys whose byte order is (position, value) order:
     both fields big-endian, the position in 2 bytes and the value in
     sub_width / 8. This holds at every width, 64 bits included."""
-    key = np.empty(values.size, dtype=[("position", ">u2"), ("value", f">u{sub_width // 8}")])
+    key = np.empty(values.size, dtype=_key_dtype(sub_width))
     key["position"] = positions
     key["value"] = values
     return key.view(f"S{key.itemsize}")
@@ -143,43 +145,34 @@ class _TermTable:
 
 
 def _open_term_table(trm_path: Path, pst_path: Path, geometry: SubCodeGeometry) -> _TermTable:
-    """Read one shard's term records and check them against the geometry and
-    the postings file; raises IndexOpenError naming the file on a fault."""
+    """Read one shard's term keys and list lengths and check them against
+    the geometry and the postings file; raises IndexOpenError naming the
+    file on a fault."""
 
     def corrupt(fault):
         return IndexOpenError(f"corrupt term table {trm_path.name}: {fault}")
 
-    if trm_path.stat().st_size % TERM_DTYPE.itemsize != 0:
+    key_dtype = _key_dtype(geometry.sub_width)
+    with open(trm_path, "rb") as f:
+        n, rest = divmod(os.fstat(f.fileno()).st_size, key_dtype.itemsize + 4)
+        keys = np.fromfile(f, dtype=f"S{key_dtype.itemsize}", count=n)
+        lengths = np.fromfile(f, dtype="<u4", count=n)
+    if rest or lengths.size != n:
         raise IndexOpenError(f"truncated term table {trm_path.name}")
-    records = np.fromfile(trm_path, dtype=TERM_DTYPE)
-    pst_size = pst_path.stat().st_size
-    sw = geometry.sub_width
-    positions, values, lengths = records["position"], records["value"], records["length"]
-    # a value is checked before the keys are made: they keep only its low
-    # sub_width bits
-    if sw < 64 and int(values.max(initial=0)) >> sw:
-        raise corrupt("value out of range")
-    keys = _term_keys(positions, values, sw)
     if np.any(keys[1:] <= keys[:-1]):
         raise corrupt("terms are not strictly increasing")
     # sorted keys put the largest position last
-    if np.any(positions[-1:] >= geometry.subcode_count):
+    if np.any(keys[-1:].view(key_dtype)["position"] >= geometry.subcode_count):
         raise corrupt("position out of range")
     if int(lengths.min(initial=1)) == 0:
         raise corrupt("empty postings list")
-    offsets = records["offset"]
-    end = int(offsets[-1]) + int(lengths[-1]) if records.size else 0
-    # the u8 differences may wrap, but from 0 in steps of u4 lengths the
-    # offsets then equal the lengths' running sums exactly
-    if (
-        np.any(offsets[:1] != 0)
-        or end != pst_size
-        or not np.array_equal(np.diff(offsets), lengths[:-1])
-    ):
-        raise corrupt(f"lists do not run contiguously from 0 to the end of {pst_path.name}")
-    ends = np.empty(records.size + 1, dtype=np.uint32 if pst_size < 2**32 else np.uint64)
-    ends[:-1] = offsets
-    ends[-1] = pst_size
+    # summed in 64 bits, so that no set of u32 lengths can wrap to the size
+    sums = np.cumsum(lengths, dtype=np.uint64)
+    pst_size = pst_path.stat().st_size
+    if int(sums[-1] if n else 0) != pst_size:
+        raise corrupt(f"list lengths do not sum to the size of {pst_path.name}")
+    ends = np.zeros(n + 1, dtype=np.uint32 if pst_size < 2**32 else np.uint64)
+    ends[1:] = sums
     return _TermTable(keys, ends)
 
 
@@ -323,14 +316,11 @@ def _build_shard(dataset, geometry, k, shard_count, directory):
     with open(fwd_path, "wb") as f:
         f.write(rows.tobytes())
 
-    s = geometry.subcode_count
     sub = subcode_columns(rows, geometry.width_bits, geometry.sub_width)
-    term_parts = []
+    key_parts = []
+    length_parts = []
     postings_parts = []
-    offset = 0
-    for p in range(s):
-        if n == 0:
-            break
+    for p in range(geometry.subcode_count if n else 0):
         col = np.ascontiguousarray(sub[:, p])
         order = np.argsort(col, kind="stable").astype(np.uint64)
         sorted_vals = col[order]
@@ -338,33 +328,19 @@ def _build_shard(dataset, geometry, k, shard_count, directory):
         is_start[0] = True
         np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=is_start[1:])
         starts = np.flatnonzero(is_start)
-        freqs = np.diff(np.append(starts, n))
 
         deltas = np.empty(n, dtype=np.uint64)
         deltas[1:] = order[1:] - order[:-1]  # wraps across groups; fixed below
         deltas[starts] = order[starts]
-        encoded = varint.encode(deltas)
+        postings_parts.append(varint.encode(deltas))
+        key_parts.append(_term_keys(p, sorted_vals[starts], geometry.sub_width))
+        length_parts.append(
+            np.add.reduceat(varint.byte_lengths(deltas), starts).astype("<u4")
+        )
 
-        byte_cum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(varint.byte_lengths(deltas), out=byte_cum[1:])
-        group_off = byte_cum[starts]
-        group_len = byte_cum[np.append(starts[1:], n)] - group_off
-
-        terms = np.empty(starts.size, dtype=TERM_DTYPE)
-        terms["position"] = p
-        terms["value"] = sorted_vals[starts]
-        terms["offset"] = offset + group_off
-        terms["length"] = group_len
-        terms["freq"] = freqs
-        term_parts.append(terms)
-        postings_parts.append(encoded)
-        offset += encoded.size
-
-    all_terms = (
-        np.concatenate(term_parts) if term_parts else np.empty(0, dtype=TERM_DTYPE)
-    )
     with open(trm_path, "wb") as f:
-        f.write(all_terms.tobytes())
+        for part in key_parts + length_parts:
+            f.write(part.tobytes())
     with open(pst_path, "wb") as f:
         for part in postings_parts:
             f.write(part.tobytes())

@@ -28,11 +28,10 @@ from hamsearch import (
     subcode_range_search,
     verify,
 )
-from hamsearch import subcode
+from hamsearch import subcode, varint
 from hamsearch.subcode import (
     COMPLETE_NAME,
     MANIFEST_NAME,
-    TERM_DTYPE,
     CandidateSet,
     SubCodeGeometry,
     _shard_doc_count,
@@ -69,6 +68,40 @@ def test_shard_doc_counts_balanced():
         assert max(sizes) - min(sizes) <= 1
 
 
+# --- term table files -----------------------------------------------------------
+
+def _key_dtype(sub_width):
+    return np.dtype([("position", ">u2"), ("value", f">u{sub_width // 8}")])
+
+
+def _read_terms(trm, sub_width):
+    """A term table file's two blocks: the keys as (position, value)
+    records and the postings list byte lengths."""
+    raw = trm.read_bytes()
+    key_dtype = _key_dtype(sub_width)
+    n = len(raw) // (key_dtype.itemsize + 4)
+    keys = np.frombuffer(raw, key_dtype, count=n).copy()
+    lengths = np.frombuffer(raw, "<u4", count=n, offset=n * key_dtype.itemsize).copy()
+    return keys, lengths
+
+
+def _edit_terms(directory, sub_width, edit):
+    trm = directory / "shard-0.trm"
+    keys, lengths = _read_terms(trm, sub_width)
+    edit(keys, lengths)
+    trm.write_bytes(keys.tobytes() + lengths.tobytes())
+
+
+def _postings_lists(shard, sub_width):
+    """(keys, the doc ids of each term's postings list), decoded from the
+    shard's files."""
+    keys, lengths = _read_terms(shard.term_table_path, sub_width)
+    data = np.fromfile(shard.postings_path, dtype=np.uint8)
+    assert int(lengths.sum()) == data.size
+    lists = np.split(data, np.cumsum(lengths)[:-1]) if keys.size else []
+    return keys, [np.cumsum(varint.decode(part)) for part in lists]
+
+
 # --- build ------------------------------------------------------------------
 
 def test_build_empty_dataset(tmp_path):
@@ -85,28 +118,29 @@ def test_build_identical_codes_single_postings_list(tmp_path):
     manifest = subcode_build(ds, plan_geometry(64, 16), 3, tmp_path / "idx")
     # each present (position, value) term lists every doc of its shard
     for shard in manifest.shards:
-        records = np.fromfile(shard.term_table_path, dtype=TERM_DTYPE)
-        assert records.size == 4  # one value per position
-        assert all(records["freq"] == shard.doc_count)
+        keys, lists = _postings_lists(shard, 16)
+        assert keys.size == 4  # one value per position
+        for ids in lists:
+            assert ids.tolist() == list(range(shard.doc_count))
     result = subcode_range_search(manifest, QuerySpec(ds.code(0), 0))
     assert len(result) == 10
     manifest.close()
 
 
 def test_postings_partition_property(tmp_path):
-    # per shard and position, postings lengths over all values sum to the
-    # shard's doc count: every doc has exactly one value per position
+    # per shard and position, the decoded postings lists over all values
+    # partition the shard's docs: every doc has exactly one value per position
     ds = random_dataset(100_000, 64, seed=40)
     geometry = plan_geometry(64, 16)
     manifest = subcode_build(ds, geometry, 5, tmp_path / "idx")
     for shard in manifest.shards:
-        records = np.fromfile(shard.term_table_path, dtype=TERM_DTYPE)
+        keys, lists = _postings_lists(shard, 16)
         for p in range(geometry.subcode_count):
-            at_p = records[records["position"] == p]
-            assert int(at_p["freq"].sum()) == shard.doc_count
+            at_p = [ids for ids, pos in zip(lists, keys["position"]) if pos == p]
+            assert np.array_equal(np.sort(np.concatenate(at_p)), np.arange(shard.doc_count))
         # term table sorted by (position, value)
-        keys = list(zip(records["position"].tolist(), records["value"].tolist()))
-        assert keys == sorted(keys)
+        pairs = list(zip(keys["position"].tolist(), keys["value"].tolist()))
+        assert pairs == sorted(pairs)
     manifest.close()
 
 
@@ -212,6 +246,17 @@ def test_open_truncated_forward_file(tmp_path):
         subcode_open(tmp_path / "idx")
 
 
+def test_open_rejects_version_1(tmp_path):
+    ds = random_dataset(100, 64, seed=48)
+    subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx").close()
+    manifest_path = tmp_path / "idx" / MANIFEST_NAME
+    raw = bytearray(manifest_path.read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")  # version
+    manifest_path.write_bytes(bytes(raw))
+    with pytest.raises(IndexOpenError, match="unsupported index version 1"):
+        subcode_open(tmp_path / "idx")
+
+
 def test_open_rejects_zero_shard_count(tmp_path):
     ds = random_dataset(100, 64, seed=48)
     subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx").close()
@@ -225,15 +270,8 @@ def test_open_rejects_zero_shard_count(tmp_path):
 
 # --- term table -----------------------------------------------------------------
 
-def _edit_terms(directory, edit):
-    trm = directory / "shard-0.trm"
-    records = np.fromfile(trm, dtype=TERM_DTYPE)
-    edit(records)
-    trm.write_bytes(records.tobytes())
-
-
-def _swap_first_two(records):
-    records[[0, 1]] = records[[1, 0]]
+def _swap_first_two(keys, lengths):
+    keys[[0, 1]] = keys[[1, 0]]
 
 
 def _append_byte(path):
@@ -243,22 +281,20 @@ def _append_byte(path):
 @pytest.mark.parametrize(
     "sub_width, corrupt, match",
     [
-        (16, lambda d: _edit_terms(d, _swap_first_two), "strictly increasing"),
-        (8, lambda d: _edit_terms(d, lambda r: r["position"].__setitem__(-1, 8)),
+        (16, lambda d: _edit_terms(d, 16, _swap_first_two), "strictly increasing"),
+        (8, lambda d: _edit_terms(d, 8, lambda k, n: k.__setitem__(1, k[0])),
+         "strictly increasing"),
+        (8, lambda d: _edit_terms(d, 8, lambda k, n: k["position"].__setitem__(-1, 8)),
          "position out of range"),
-        (8, lambda d: _edit_terms(d, lambda r: r["value"].__setitem__(0, 256)),
-         "value out of range"),
-        (16, lambda d: _edit_terms(d, lambda r: r["length"].__setitem__(3, 0)),
+        (16, lambda d: _edit_terms(d, 16, lambda k, n: n.__setitem__(3, 0)),
          "empty postings list"),
-        (16, lambda d: _edit_terms(d, lambda r: r["offset"].__setitem__(2, r["offset"][2] + 1)),
-         "contiguously"),
-        (8, lambda d: (_edit_terms(d, lambda r: r["offset"].__iadd__(1)),
-                       _append_byte(d / "shard-0.pst")), "contiguously from 0"),
-        (8, lambda d: _append_byte(d / "shard-0.pst"), "end of shard-0.pst"),
+        (16, lambda d: _edit_terms(d, 16, lambda k, n: n.__setitem__(0, n[0] + 1)),
+         "shard-0.trm: list lengths do not sum to the size of shard-0.pst"),
+        (8, lambda d: _append_byte(d / "shard-0.pst"), "size of shard-0.pst"),
         (16, lambda d: _append_byte(d / "shard-0.trm"), "truncated term table shard-0.trm"),
     ],
-    ids=["unsorted", "position", "value", "empty_list", "offset_gap", "first_offset",
-         "postings_size", "truncated"],
+    ids=["unsorted", "duplicate", "position", "empty_list", "length_sum", "postings_size",
+         "truncated"],
 )
 def test_open_rejects_corrupt_term_table(tmp_path, sub_width, corrupt, match):
     ds = random_dataset(500, 64, seed=67)
@@ -276,17 +312,25 @@ def test_term_table_bit_flips_answer_or_fail_typed(tmp_path, sub_width):
     paths = sorted((tmp_path / "idx").glob("shard-*.trm"))
     originals = [p.read_bytes() for p in paths]
     file_ends = np.cumsum([len(raw) for raw in originals])
+    key_bytes = 2 + sub_width // 8
     rng = np.random.default_rng(69)
     queries = [ds.code(int(i)) for i in rng.choice(ds.count, 4, replace=False)]
     radii = (0, 1, geometry.subcode_count - 1)
-    typed = 0
+    typed = in_lengths = 0
     # one bit at a time, drawn uniformly over all term-table bytes
     for bit in rng.integers(0, int(file_ends[-1]) * 8, 150):
         k = int(np.searchsorted(file_ends, bit // 8, side="right"))
         raw = bytearray(originals[k])
-        raw[bit // 8 - (int(file_ends[k]) - len(raw))] ^= 1 << int(bit % 8)
+        at = bit // 8 - (int(file_ends[k]) - len(raw))
+        raw[at] ^= 1 << int(bit % 8)
         paths[k].write_bytes(bytes(raw))
         try:
+            if at >= len(raw) // (key_bytes + 4) * key_bytes:
+                # a flipped length always changes the lengths' sum
+                in_lengths += 1
+                with pytest.raises(IndexOpenError, match=paths[k].name):
+                    subcode_open(tmp_path / "idx")
+                continue
             with subcode_open(tmp_path / "idx") as manifest:
                 for q in queries:
                     for r in radii:
@@ -296,6 +340,7 @@ def test_term_table_bit_flips_answer_or_fail_typed(tmp_path, sub_width):
         finally:
             paths[k].write_bytes(originals[k])
     assert typed > 0
+    assert in_lengths > 0
 
 
 @pytest.mark.parametrize("sub_width", [8, 16, 32, 64])
@@ -308,19 +353,20 @@ def test_term_lookup_equals_dict_reference(sub_width, data):
         st.one_of(st.just({}), st.dictionaries(term, st.integers(1, 40), max_size=30))
     )
     terms = sorted(lists)
-    records = np.zeros(len(terms), dtype=TERM_DTYPE)
-    records["position"] = [p for p, _ in terms]
-    records["value"] = np.array([v for _, v in terms], dtype=np.uint64)
-    records["length"] = [lists[t] for t in terms]
-    records["offset"] = np.cumsum(records["length"]) - records["length"]
-    reference = {
-        t: (int(o), int(n)) for t, o, n in zip(terms, records["offset"], records["length"])
-    }
+    # written independently of the package: keys, then lengths
+    table_bytes = b"".join(
+        p.to_bytes(2, "big") + v.to_bytes(sub_width // 8, "big") for p, v in terms
+    ) + b"".join(lists[t].to_bytes(4, "little") for t in terms)
+    reference = {}
+    offset = 0
+    for t in terms:
+        reference[t] = (offset, lists[t])
+        offset += lists[t]
     probes = data.draw(st.lists(term, max_size=12)) + terms[:1] + terms[-1:]
     with tempfile.TemporaryDirectory() as tmp:
         trm, pst = Path(tmp) / "t.trm", Path(tmp) / "t.pst"
-        trm.write_bytes(records.tobytes())
-        pst.write_bytes(bytes(int(records["length"].sum())))
+        trm.write_bytes(table_bytes)
+        pst.write_bytes(bytes(offset))
         geometry = SubCodeGeometry(s * sub_width, sub_width)  # any s, unvalidated
         table = subcode._open_term_table(trm, pst, geometry)
     keys = subcode._term_keys(
