@@ -1,9 +1,10 @@
 """Subprocess entry for measured benchmark phases.
 
-Invoked as `python -m hamsearch._phases SPEC.json`; runs exactly one phase
-in this fresh process and prints a JSON result to stdout. Keeping each
-(backend, width, radius) cell in its own process gives honest cold runs and
-per-cell resident-memory peaks.
+Invoked as `python -m hamsearch._phases` with a JSON phase spec on stdin
+(`{"op": ..., ...}`); runs exactly one phase in this fresh process and
+prints a JSON result to stdout. Latency statistics travel as the fields of
+`bench.LatencyStats`. Keeping each (backend, width, radius) cell in its own
+process gives honest cold runs and per-cell resident-memory peaks.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import subcode as subcode_mod
 from .bench import measure_latency
@@ -20,13 +22,11 @@ from .memprobe import ResidentSampler
 from .subcode import plan_geometry, subcode_build, subcode_open, subcode_range_search
 
 
-def _stats_dict(stats) -> dict:
-    return {
-        "mean_ms": stats.mean_ms,
-        "p50_ms": stats.p50_ms,
-        "p95_ms": stats.p95_ms,
-        "n": stats.query_count,
-    }
+def _cold_and_warm(search, queries) -> dict:
+    """A cold pass, then a warm-up pass and a warm measured pass."""
+    cold = measure_latency(search, queries, warmup=False)
+    warm = measure_latency(search, queries, warmup=True)
+    return {"cold": asdict(cold), "warm": asdict(warm)}
 
 
 def _finish(sampler) -> dict:
@@ -66,13 +66,9 @@ def phase_flat_search(spec: dict) -> dict:
     build_seconds = time.perf_counter() - start
     radius = spec["radius"]
     queries = [QuerySpec(dataset.code(i), radius) for i in spec["query_ids"]]
-    search = lambda q: flat_range_search(index, q)
-    cold = measure_latency(search, queries, warmup=False)
-    warm = measure_latency(search, queries, warmup=True)
     return {
         "build_seconds": build_seconds,
-        "cold": _stats_dict(cold),
-        "warm": _stats_dict(warm),
+        **_cold_and_warm(lambda q: flat_range_search(index, q), queries),
         **_finish(sampler),
     }
 
@@ -88,14 +84,10 @@ def phase_subcode_search(spec: dict) -> dict:
     start = time.perf_counter()
     manifest = subcode_open(spec["index_dir"])
     open_seconds = time.perf_counter() - start
-    search = lambda q: subcode_range_search(manifest, q)
-    cold = measure_latency(search, queries, warmup=False)
-    warm = measure_latency(search, queries, warmup=True)
     result = {
         "open_seconds": open_seconds,
         "build_calls": subcode_mod.BUILD_CALLS,
-        "cold": _stats_dict(cold),
-        "warm": _stats_dict(warm),
+        **_cold_and_warm(lambda q: subcode_range_search(manifest, q), queries),
         **_finish(sampler),
     }
     manifest.close()
@@ -131,13 +123,8 @@ PHASES = {
 }
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m hamsearch._phases SPEC.json", file=sys.stderr)
-        return 2
-    with open(argv[0]) as f:
-        spec = json.load(f)
+def main() -> int:
+    spec = json.load(sys.stdin)
     phase = PHASES[spec["op"]]
     json.dump(phase(spec), sys.stdout)
     return 0

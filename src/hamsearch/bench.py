@@ -18,9 +18,8 @@ import os
 import platform
 import subprocess
 import sys
-import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,8 +34,9 @@ from .core import (
     range_search_oracle,
 )
 from .datagen import SyntheticSpec, gen_synthetic
-from .flat import flat_build, flat_range_search
+from .flat import DEFAULT_WORKERS, flat_build, flat_range_search
 from .subcode import (
+    DEFAULT_SHARDS,
     filter_bypassed,
     plan_geometry,
     subcode_open,
@@ -67,8 +67,8 @@ class BenchConfig:
     radius_grid: dict = field(default_factory=lambda: dict(DEFAULT_RADIUS_GRID))
     dataset_count: int = 500_000
     query_count: int = 10_000
-    workers: int = 5
-    shard_count: int = 5
+    workers: int = DEFAULT_WORKERS
+    shard_count: int = DEFAULT_SHARDS
     sub_width: int = 8
     seed: int = 20_240_817
     cluster_count: int = 0
@@ -82,7 +82,12 @@ class BenchConfig:
             raise ValueError("dataset_count must be >= 1")
         if self.query_count < 1:
             raise ValueError("query_count must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.shard_count < 1:
+            raise ValueError("shard_count must be >= 1")
         for w in self.widths:
+            plan_geometry(w, self.sub_width)
             if w not in self.radius_grid:
                 raise ValueError(f"no radius grid configured for width {w}")
             for r in self.radius_grid[w]:
@@ -90,17 +95,31 @@ class BenchConfig:
                     raise ValueError(f"radius {r} out of range for width {w}")
 
 
+def int_list(text: str) -> tuple:
+    """A comma-separated list of integers, such as "3,7,11"."""
+    return tuple(int(x) for x in text.split(","))
+
+
+def radius_entry(width: str, radii: str) -> tuple:
+    """One (width, radii) entry of the radius grid, from `radii.W=R1,R2`
+    in a config file or `--radii W:R1,R2` on the command line."""
+    return int(width), int_list(radii)
+
+
+# The bench settings: config-file key (also the `--<key>` command-line
+# flag) -> (BenchConfig field, converter, help). The radius grid is set
+# per width through radius_entry instead.
 _CONFIG_KEYS = {
-    "widths": ("widths", lambda v: tuple(int(x) for x in v.split(","))),
-    "count": ("dataset_count", int),
-    "queries": ("query_count", int),
-    "workers": ("workers", int),
-    "shards": ("shard_count", int),
-    "sub-width": ("sub_width", int),
-    "seed": ("seed", int),
-    "clusters": ("cluster_count", int),
-    "flip-prob": ("flip_probability", float),
-    "out": ("out_dir", str),
+    "widths": ("widths", int_list, "comma-separated code widths"),
+    "count": ("dataset_count", int, "dataset size"),
+    "queries": ("query_count", int, "nominal query count"),
+    "workers": ("workers", int, "flat worker threads"),
+    "shards": ("shard_count", int, "sub-code shards"),
+    "sub-width": ("sub_width", int, "sub-code width in bits"),
+    "seed": ("seed", int, "dataset and query seed"),
+    "clusters": ("cluster_count", int, "cluster centres (0: uniform codes)"),
+    "flip-prob": ("flip_probability", float, "bit-flip probability around a centre"),
+    "out": ("out_dir", str, "output directory"),
 }
 
 
@@ -117,16 +136,15 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key.startswith("radii."):
-                radii[int(key[len("radii."):])] = tuple(int(x) for x in value.split(","))
+                width, grid = radius_entry(key[len("radii."):], value)
+                radii[width] = grid
             elif key in _CONFIG_KEYS:
-                name, conv = _CONFIG_KEYS[key]
+                name, conv, _ = _CONFIG_KEYS[key]
                 kwargs[name] = conv(value)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
     if radii:
-        grid = dict(DEFAULT_RADIUS_GRID)
-        grid.update(radii)
-        kwargs["radius_grid"] = grid
+        kwargs["radius_grid"] = {**DEFAULT_RADIUS_GRID, **radii}
     return kwargs
 
 
@@ -271,13 +289,6 @@ class RestartCheck:
         return self.subcode_build_calls_on_open == 0 and self.flat_rebuild_seconds > 0
 
 
-CSV_COLUMNS = [
-    "backend", "width_bits", "radius", "warm", "status", "build_seconds",
-    "open_seconds", "latency_mean_ms", "latency_p50_ms", "latency_p95_ms",
-    "resident_bytes_peak", "filter_bypass", "query_count", "rss_note",
-]
-
-
 @dataclass
 class BenchReport:
     config: BenchConfig
@@ -293,10 +304,10 @@ class BenchReport:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+            writer = csv.DictWriter(f, fieldnames=[c.name for c in fields(BenchRow)])
             writer.writeheader()
             for row in self.rows:
-                record = {k: getattr(row, k) for k in CSV_COLUMNS}
+                record = asdict(row)
                 record["warm"] = "warm" if row.warm else "cold"
                 for key, value in record.items():
                     if value is None:
@@ -440,25 +451,21 @@ def environment_block(config: BenchConfig) -> dict:
 
 
 def _run_phase(spec: dict) -> dict:
-    """Run one measurement phase in a fresh interpreter."""
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
-        json.dump(spec, f)
-        spec_path = f.name
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hamsearch._phases", spec_path],
-            capture_output=True,
-            text=True,
+    """Run one measurement phase in a fresh interpreter; the spec goes in
+    on its stdin and the result comes back on its stdout, both as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamsearch._phases"],
+        input=json.dumps(spec),
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-3:]
+        raise BenchPhaseError(
+            f"phase {spec.get('op')} failed (exit {proc.returncode}): "
+            + " | ".join(tail)
         )
-        if proc.returncode != 0:
-            tail = proc.stderr.strip().splitlines()[-3:]
-            raise BenchPhaseError(
-                f"phase {spec.get('op')} failed (exit {proc.returncode}): "
-                + " | ".join(tail)
-            )
-        return json.loads(proc.stdout)
-    finally:
-        os.unlink(spec_path)
+    return json.loads(proc.stdout)
 
 
 def _query_ids(config: BenchConfig, width_bits: int) -> list:
@@ -467,10 +474,24 @@ def _query_ids(config: BenchConfig, width_bits: int) -> list:
     return rng.choice(config.dataset_count, size=n, replace=False).tolist()
 
 
-def _stats_from(payload: dict) -> LatencyStats:
-    return LatencyStats(
-        payload["mean_ms"], payload["p50_ms"], payload["p95_ms"], payload["n"]
-    )
+def _cells(radii) -> list:
+    """A width's (backend, radius, warm) cells, in report order."""
+    return [
+        (backend, r, warm)
+        for backend in ("flat", "subcode")
+        for r in radii
+        for warm in (False, True)
+    ]
+
+
+def _placeholder_rows(width_rows: dict, m: int, radii, status: str) -> None:
+    """Give every cell of width m that has no measured row a row that
+    carries only its status."""
+    for backend, r, warm in _cells(radii):
+        width_rows.setdefault(
+            (backend, r, warm),
+            BenchRow(backend=backend, width_bits=m, radius=r, warm=warm, status=status),
+        )
 
 
 def run_suite(config: BenchConfig) -> BenchReport:
@@ -485,30 +506,16 @@ def run_suite(config: BenchConfig) -> BenchReport:
 
     for m in config.widths:
         radii = config.radius_grid[m]
-        combos = [
-            (backend, r, warm)
-            for backend in ("flat", "subcode")
-            for r in radii
-            for warm in (False, True)
-        ]
         width_rows: dict = {}
         try:
             _bench_width(
                 config, out, m, radii, width_rows, restart_checks, equivalence
             )
         except Exception as exc:  # per-width failure: record and continue
-            note = f"error: {exc}"
-            equivalence.setdefault(m, EquivalenceReport(checked=0, failures=[]))
-            for key in combos:
-                width_rows.setdefault(
-                    key,
-                    BenchRow(
-                        backend=key[0], width_bits=m, radius=key[1], warm=key[2],
-                        status=note,
-                    ),
-                )
-        for key in combos:
-            rows.append(width_rows[key])
+            # a gate that never ran is not recorded, so the report reads
+            # "not run" for it rather than a pass over no queries
+            _placeholder_rows(width_rows, m, radii, f"error: {exc}")
+        rows.extend(width_rows[key] for key in _cells(radii))
 
     report = BenchReport(
         config=config,
@@ -573,76 +580,43 @@ def _bench_width(config, out, m, radii, width_rows, restart_checks, equivalence)
     del flat_index
     del dataset
     if not gate.passed:
-        for backend in ("flat", "subcode"):
-            for r in radii:
-                for warm in (False, True):
-                    width_rows[(backend, r, warm)] = BenchRow(
-                        backend=backend, width_bits=m, radius=r, warm=warm,
-                        status="equivalence-failed",
-                    )
+        _placeholder_rows(width_rows, m, radii, "equivalence-failed")
         return
 
     qids = _query_ids(config, m)
-    sub_open_seconds = None
-    sub_build_calls = None
-    flat_build_seconds = None
+    phase_specs = {
+        "flat": {"op": "flat_search", "workers": config.workers},
+        "subcode": {"op": "subcode_search", "index_dir": str(index_dir)},
+    }
+    first: dict = {}  # backend -> result of its first radius's phase
     for r in radii:
-        fres = _run_phase(
-            {
-                "op": "flat_search",
-                "dataset_path": str(dataset_path),
-                "workers": config.workers,
-                "radius": r,
-                "query_ids": qids,
-            }
-        )
-        if flat_build_seconds is None:
-            flat_build_seconds = fres["build_seconds"]
-        for warm in (False, True):
-            stats = _stats_from(fres["warm" if warm else "cold"])
-            width_rows[("flat", r, warm)] = BenchRow(
-                backend="flat", width_bits=m, radius=r, warm=warm,
-                build_seconds=fres["build_seconds"],
-                latency_mean_ms=stats.mean_ms,
-                latency_p50_ms=stats.p50_ms,
-                latency_p95_ms=stats.p95_ms,
-                resident_bytes_peak=fres["resident_bytes_peak"],
-                filter_bypass=False,
-                query_count=stats.query_count,
-                rss_note=fres["rss_note"],
+        for backend, spec in phase_specs.items():
+            res = _run_phase(
+                {**spec, "dataset_path": str(dataset_path), "radius": r, "query_ids": qids}
             )
-        sres = _run_phase(
-            {
-                "op": "subcode_search",
-                "dataset_path": str(dataset_path),
-                "index_dir": str(index_dir),
-                "radius": r,
-                "query_ids": qids,
-            }
-        )
-        if sub_open_seconds is None:
-            sub_open_seconds = sres["open_seconds"]
-            sub_build_calls = sres["build_calls"]
-        for warm in (False, True):
-            stats = _stats_from(sres["warm" if warm else "cold"])
-            width_rows[("subcode", r, warm)] = BenchRow(
-                backend="subcode", width_bits=m, radius=r, warm=warm,
-                build_seconds=subcode_build_seconds,
-                open_seconds=sres["open_seconds"],
-                latency_mean_ms=stats.mean_ms,
-                latency_p50_ms=stats.p50_ms,
-                latency_p95_ms=stats.p95_ms,
-                resident_bytes_peak=sres["resident_bytes_peak"],
-                filter_bypass=filter_bypassed(geometry, r),
-                query_count=stats.query_count,
-                rss_note=sres["rss_note"],
-            )
+            first.setdefault(backend, res)
+            for warm in (False, True):
+                stats = LatencyStats(**res["warm" if warm else "cold"])
+                width_rows[(backend, r, warm)] = BenchRow(
+                    backend=backend, width_bits=m, radius=r, warm=warm,
+                    # each flat phase rebuilds its index and times that; the
+                    # sub-code index was built once, by the build phase above
+                    build_seconds=res.get("build_seconds", subcode_build_seconds),
+                    open_seconds=res.get("open_seconds"),
+                    latency_mean_ms=stats.mean_ms,
+                    latency_p50_ms=stats.p50_ms,
+                    latency_p95_ms=stats.p95_ms,
+                    resident_bytes_peak=res["resident_bytes_peak"],
+                    filter_bypass=backend == "subcode" and filter_bypassed(geometry, r),
+                    query_count=stats.query_count,
+                    rss_note=res["rss_note"],
+                )
     restart_checks.append(
         RestartCheck(
             width_bits=m,
             subcode_build_seconds=subcode_build_seconds,
-            subcode_open_seconds=sub_open_seconds,
-            subcode_build_calls_on_open=sub_build_calls,
-            flat_rebuild_seconds=flat_build_seconds,
+            subcode_open_seconds=first["subcode"]["open_seconds"],
+            subcode_build_calls_on_open=first["subcode"]["build_calls"],
+            flat_rebuild_seconds=first["flat"]["build_seconds"],
         )
     )

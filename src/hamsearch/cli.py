@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 verification
-failure.
+failure. `bench` exits 3 when an equivalence gate fails and 2 when any
+other cell ends in an error.
 """
 
 from __future__ import annotations
@@ -14,8 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench as bench_mod
-from .bench import BenchConfig, parse_config_file, run_suite, verify_equivalence
+from .bench import (
+    _CONFIG_KEYS,
+    DEFAULT_RADIUS_GRID,
+    BenchConfig,
+    parse_config_file,
+    radius_entry,
+    run_suite,
+    verify_equivalence,
+)
 from .core import (
     DatasetFormatError,
     QuerySpec,
@@ -30,8 +38,10 @@ from .datagen import (
     phash,
     read_pgm,
 )
-from .flat import flat_build, flat_range_search
+from .flat import DEFAULT_WORKERS, flat_build, flat_range_search
 from .subcode import (
+    DEFAULT_SHARDS,
+    DEFAULT_SUB_WIDTH,
     IndexBuildError,
     IndexOpenError,
     QueryError,
@@ -64,6 +74,11 @@ def _radii(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad radius list {text!r}")
 
 
+def _radius_flag(text: str) -> tuple:
+    width, _, radii = text.partition(":")
+    return radius_entry(width, radii)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hamsearch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,10 +99,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("index", help="build an index from a dataset file")
     p.add_argument("--backend", choices=("flat", "subcode"), required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--sub-width", type=int, default=16)
-    p.add_argument("--shards", type=int, default=5)
+    p.add_argument("--sub-width", type=int, default=DEFAULT_SUB_WIDTH)
+    p.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
     p.add_argument("--dir", help="index directory (subcode backend)")
-    p.add_argument("--workers", type=int, default=5)
+    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
 
     p = sub.add_parser("search", help="radius query for one dataset code")
     p.add_argument("--backend", choices=("flat", "subcode"), required=True)
@@ -95,31 +110,27 @@ def build_parser() -> _Parser:
     p.add_argument("--dir", help="index directory (subcode backend)")
     p.add_argument("--query-id", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--workers", type=int, default=5)
+    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
 
     p = sub.add_parser("verify", help="three-way exactness check on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--queries", type=int, required=True)
     p.add_argument("--radii", type=_radii, required=True)
-    p.add_argument("--sub-width", type=int, default=16)
-    p.add_argument("--shards", type=int, default=5)
-    p.add_argument("--workers", type=int, default=5)
+    p.add_argument("--sub-width", type=int, default=DEFAULT_SUB_WIDTH)
+    p.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
+    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="run the comparison suite")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--widths", help="comma-separated code widths")
-    p.add_argument("--count", type=int, help="dataset size")
-    p.add_argument("--queries", type=int, help="nominal query count")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--shards", type=int)
-    p.add_argument("--sub-width", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--flip-prob", type=float)
+    # every config-file key is also a flag, which overrides the file
+    for key, (name, conv, help_text) in _CONFIG_KEYS.items():
+        p.add_argument(
+            f"--{key}", dest=name, type=conv, help=help_text,
+            metavar=key.upper().replace("-", "_"),
+        )
     p.add_argument(
-        "--radii", action="append", default=None, metavar="WIDTH:R1,R2,...",
+        "--radii", action="append", type=_radius_flag, metavar="WIDTH:R1,R2,...",
         help="radius grid override, repeatable",
     )
     return parser
@@ -236,31 +247,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     kwargs = parse_config_file(args.config) if args.config else {}
-    flag_map = {
-        "out_dir": args.out,
-        "dataset_count": args.count,
-        "query_count": args.queries,
-        "workers": args.workers,
-        "shard_count": args.shards,
-        "sub_width": args.sub_width,
-        "seed": args.seed,
-        "cluster_count": args.clusters,
-        "flip_probability": args.flip_prob,
-    }
-    if args.widths:
-        flag_map["widths"] = tuple(int(x) for x in args.widths.split(","))
+    for name, _, _ in _CONFIG_KEYS.values():
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
     if args.radii:
-        grid = dict(kwargs.get("radius_grid", bench_mod.DEFAULT_RADIUS_GRID))
-        for item in args.radii:
-            width, _, values = item.partition(":")
-            grid[int(width)] = tuple(int(x) for x in values.split(","))
-        flag_map["radius_grid"] = grid
-    kwargs.update({k: v for k, v in flag_map.items() if v is not None})
+        grid = kwargs.get("radius_grid", DEFAULT_RADIUS_GRID)
+        kwargs["radius_grid"] = {**grid, **dict(args.radii)}
     config = BenchConfig(**kwargs)
     report = run_suite(config)
-    gates_ok = all(rep.passed for rep in report.equivalence.values())
     print(f"report written to {Path(config.out_dir) / 'report.md'}")
-    return EXIT_OK if gates_ok else EXIT_VERIFY
+    if not all(rep.passed for rep in report.equivalence.values()):
+        return EXIT_VERIFY
+    failed = [row for row in report.rows if row.status != "ok"]
+    if failed:
+        print(f"error: {len(failed)} of {len(report.rows)} cells failed; "
+              f"first: {failed[0].status}", file=sys.stderr)
+        return EXIT_DATA
+    return EXIT_OK
 
 
 _COMMANDS = {

@@ -187,9 +187,6 @@ class ShardDescriptor:
     shard_index: int
     shard_count: int
     doc_count: int
-    term_table_path: Path
-    postings_path: Path
-    forward_path: Path
     _terms: _TermTable = field(default=None, repr=False)
     _pst_fd: int = field(default=-1, repr=False)
     _fwd_fd: int = field(default=-1, repr=False)
@@ -390,9 +387,6 @@ def subcode_open(directory) -> SubCodeIndexManifest:
                 shard_index=k,
                 shard_count=shard_count,
                 doc_count=doc_count,
-                term_table_path=trm_path,
-                postings_path=pst_path,
-                forward_path=fwd_path,
                 _terms=_open_term_table(trm_path, pst_path, geometry),
                 _pst_fd=os.open(pst_path, os.O_RDONLY),
                 _fwd_fd=os.open(fwd_path, os.O_RDONLY),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import time
 
@@ -332,3 +333,20 @@ def test_suite_continues_after_width_failure(tmp_path, monkeypatch):
         by_width.setdefault(row.width_bits, []).append(row.status)
     assert all(s.startswith("error") for s in by_width[64])
     assert all(s == "ok" for s in by_width[128])
+
+
+def test_run_phase_unknown_op_raises_naming_it():
+    with pytest.raises(bench_mod.BenchPhaseError, match="no_such_phase"):
+        bench_mod._run_phase({"op": "no_such_phase"})
+
+
+def test_suite_csv_header_is_bench_row_fields(tiny_report):
+    config, report, out = tiny_report
+    with open(out / "report.csv") as f:
+        header = next(csv.reader(f))
+    assert header == [f.name for f in dataclasses.fields(bench_mod.BenchRow)]
+    assert header == [
+        "backend", "width_bits", "radius", "warm", "status", "build_seconds",
+        "open_seconds", "latency_mean_ms", "latency_p50_ms", "latency_p95_ms",
+        "resident_bytes_peak", "filter_bypass", "query_count", "rss_note",
+    ]

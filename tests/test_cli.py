@@ -142,3 +142,117 @@ def test_bench_cli_with_config_file(tmp_path, capsys):
         rows = list(csv.DictReader(f))
     assert len(rows) == 8  # 2 backends x 2 radii x warm/cold
     assert {r["radius"] for r in rows} == {"3", "11"}
+
+
+# --- bench settings: one table for the config file and the flags ------------
+
+# per config key: (value in the file, value of the flag, a malformed value or
+# None when the converter accepts any text)
+BENCH_SETTINGS = {
+    "widths": ("64", "256", "64,x"),
+    "count": ("1500", "1600", "many"),
+    "queries": ("40", "50", "4.5"),
+    "workers": ("2", "3", "two"),
+    "shards": ("2", "4", ""),
+    "sub-width": ("8", "16", "8.0"),
+    "seed": ("9", "10", "0x10"),
+    "clusters": ("0", "7", "none"),
+    "flip-prob": ("0.0", "0.05", "5%"),
+    "out": ("file-out", "flag-out", None),
+}
+
+
+def test_bench_settings_cover_every_config_key():
+    from hamsearch.bench import _CONFIG_KEYS
+
+    assert set(BENCH_SETTINGS) == set(_CONFIG_KEYS)
+
+
+def _capture_bench_config(monkeypatch):
+    import hamsearch.cli as cli_mod
+    from hamsearch.bench import BenchReport
+
+    seen = []
+
+    def fake_suite(config):
+        seen.append(config)
+        return BenchReport(config, {}, [], [], {})
+
+    monkeypatch.setattr(cli_mod, "run_suite", fake_suite)
+    return seen
+
+
+@pytest.mark.parametrize("key", sorted(BENCH_SETTINGS))
+def test_bench_flag_overrides_config_file(key, tmp_path, monkeypatch):
+    from hamsearch.bench import _CONFIG_KEYS
+
+    seen = _capture_bench_config(monkeypatch)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("".join(f"{k}={file_value}\n"
+                           for k, (file_value, _, _) in BENCH_SETTINGS.items()))
+    name, conv, _ = _CONFIG_KEYS[key]
+    file_value, flag_value, _ = BENCH_SETTINGS[key]
+    assert main(["bench", "--config", str(cfg)]) == 0
+    assert main(["bench", "--config", str(cfg), f"--{key}", flag_value]) == 0
+    assert getattr(seen[0], name) == conv(file_value)
+    assert getattr(seen[1], name) == conv(flag_value) != conv(file_value)
+
+
+@pytest.mark.parametrize(
+    "key", sorted(k for k, (_, _, bad) in BENCH_SETTINGS.items() if bad is not None)
+)
+def test_bench_malformed_flag_is_usage_error(key, monkeypatch):
+    seen = _capture_bench_config(monkeypatch)
+    assert main(["bench", f"--{key}", BENCH_SETTINGS[key][2]]) == 1
+    assert seen == []
+
+
+def test_bench_radii_flag_overrides_config_file(tmp_path, monkeypatch):
+    seen = _capture_bench_config(monkeypatch)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("radii.64=1,2\nradii.256=5\n")
+    assert main(["bench", "--config", str(cfg), "--radii", "64:3,4"]) == 0
+    assert seen[0].radius_grid[64] == (3, 4)
+    assert seen[0].radius_grid[256] == (5,)  # from the file
+    assert seen[0].radius_grid[1024] == (63, 127, 191)  # default
+    assert main(["bench", "--radii", "64:3,x"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flag", [["--sub-width", "7"], ["--workers", "0"], ["--shards", "0"]]
+)
+def test_bench_bad_settings_exit_2_before_any_work(flag, tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["bench", "--out", str(out_dir), "--widths", "64",
+                 "--count", "1000", "--queries", "20", "--radii", "64:3",
+                 *flag]) == 2
+    assert not out_dir.exists()  # no dataset generated, no report written
+
+
+def test_bench_failed_width_exits_2_and_reports_gate_not_run(tmp_path, monkeypatch):
+    import hamsearch.bench as bench_mod
+
+    def failing_phase(spec):
+        raise bench_mod.BenchPhaseError("injected build failure")
+
+    monkeypatch.setattr(bench_mod, "_run_phase", failing_phase)
+    out_dir = tmp_path / "out"
+    assert main(["bench", "--out", str(out_dir), "--widths", "64",
+                 "--count", "1000", "--queries", "20", "--workers", "2",
+                 "--shards", "2", "--radii", "64:3"]) == 2
+    md = (out_dir / "report.md").read_text()
+    assert "- m=64: not run" in md
+    assert "pass (0 query/radius pairs)" not in md
+
+
+def test_readme_lists_every_bench_config_key():
+    import re
+    from pathlib import Path
+
+    from hamsearch.bench import _CONFIG_KEYS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"config file \(`--config bench.cfg`\) with\s+keys (.*?)"
+                         r"and per-width radius grids", readme, re.S)
+    assert sentence is not None
+    assert re.findall(r"`([^`]+)`", sentence.group(1)) == list(_CONFIG_KEYS)

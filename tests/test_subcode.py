@@ -35,6 +35,7 @@ from hamsearch.subcode import (
     CandidateSet,
     SubCodeGeometry,
     _shard_doc_count,
+    _shard_paths,
 )
 
 from conftest import random_dataset
@@ -92,11 +93,12 @@ def _edit_terms(directory, sub_width, edit):
     trm.write_bytes(keys.tobytes() + lengths.tobytes())
 
 
-def _postings_lists(shard, sub_width):
+def _postings_lists(manifest, shard, sub_width):
     """(keys, the doc ids of each term's postings list), decoded from the
     shard's files."""
-    keys, lengths = _read_terms(shard.term_table_path, sub_width)
-    data = np.fromfile(shard.postings_path, dtype=np.uint8)
+    trm_path, pst_path, _ = _shard_paths(manifest.directory, shard.shard_index)
+    keys, lengths = _read_terms(trm_path, sub_width)
+    data = np.fromfile(pst_path, dtype=np.uint8)
     assert int(lengths.sum()) == data.size
     lists = np.split(data, np.cumsum(lengths)[:-1]) if keys.size else []
     return keys, [np.cumsum(varint.decode(part)) for part in lists]
@@ -118,7 +120,7 @@ def test_build_identical_codes_single_postings_list(tmp_path):
     manifest = subcode_build(ds, plan_geometry(64, 16), 3, tmp_path / "idx")
     # each present (position, value) term lists every doc of its shard
     for shard in manifest.shards:
-        keys, lists = _postings_lists(shard, 16)
+        keys, lists = _postings_lists(manifest, shard, 16)
         assert keys.size == 4  # one value per position
         for ids in lists:
             assert ids.tolist() == list(range(shard.doc_count))
@@ -134,7 +136,7 @@ def test_postings_partition_property(tmp_path):
     geometry = plan_geometry(64, 16)
     manifest = subcode_build(ds, geometry, 5, tmp_path / "idx")
     for shard in manifest.shards:
-        keys, lists = _postings_lists(shard, 16)
+        keys, lists = _postings_lists(manifest, shard, 16)
         for p in range(geometry.subcode_count):
             at_p = [ids for ids, pos in zip(lists, keys["position"]) if pos == p]
             assert np.array_equal(np.sort(np.concatenate(at_p)), np.arange(shard.doc_count))
@@ -554,7 +556,7 @@ def test_truncated_forward_file_raises_query_error(tmp_path):
     ds = random_dataset(1000, 64, seed=64)
     manifest = subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx")
     shard = manifest.shards[0]
-    os.truncate(shard.forward_path, shard.doc_count * 8 // 2)
+    os.truncate(_shard_paths(manifest.directory, 0)[2], shard.doc_count * 8 // 2)
     # the last doc of shard 0 now lies past the end of its forward file
     last = int(shard.local_to_global(np.int64(shard.doc_count - 1)))
     for radius in (0, 64):  # filter + verify, then the bypass scan
