@@ -19,6 +19,7 @@ from .bench import (
     _CONFIG_KEYS,
     DEFAULT_RADIUS_GRID,
     BenchConfig,
+    int_list,
     parse_config_file,
     radius_entry,
     run_suite,
@@ -67,13 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _radii(text: str) -> list:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad radius list {text!r}")
-
-
 def _radius_flag(text: str) -> tuple:
     width, _, radii = text.partition(":")
     return radius_entry(width, radii)
@@ -115,7 +109,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="three-way exactness check on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--queries", type=int, required=True)
-    p.add_argument("--radii", type=_radii, required=True)
+    p.add_argument("--radii", type=int_list, required=True)
     p.add_argument("--sub-width", type=int, default=DEFAULT_SUB_WIDTH)
     p.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
     p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
@@ -221,6 +215,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.queries < 1:
+        raise _UsageError("--queries must be >= 1")
     dataset = dataset_read(args.dataset)
     if dataset.count == 0:
         raise DatasetFormatError("cannot verify an empty dataset")

@@ -9,6 +9,7 @@ index backends all rely on this single convention.
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -321,7 +322,25 @@ def dataset_read(source) -> CodeDataset:
         return _read_stream(f)
 
 
-def _read_stream(f) -> CodeDataset:
+def dataset_read_codes(path, doc_ids) -> list[BinaryCode]:
+    """The codes of rows `doc_ids` of a dataset file, one read per row;
+    the rest of the file is never loaded."""
+    with open(path, "rb") as f:
+        width_bits, count = _read_header(f)
+        row_bytes = width_bits // 8
+        codes = []
+        for doc_id in doc_ids:
+            if not 0 <= doc_id < count:
+                raise IndexError(f"doc id {doc_id} out of range [0, {count})")
+            row = os.pread(f.fileno(), row_bytes, _HEADER.size + doc_id * row_bytes)
+            codes.append(BinaryCode(width_bits, np.frombuffer(row, dtype="<u8")))
+    return codes
+
+
+def _read_header(f) -> tuple[int, int]:
+    """Parse a dataset header into (width_bits, count). On a seekable
+    stream the declared body must fill exactly the bytes left, so a header
+    with an impossible count fails here, before anything is allocated."""
     header = f.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise DatasetFormatError("truncated stream: incomplete header")
@@ -332,6 +351,22 @@ def _read_stream(f) -> CodeDataset:
         raise DatasetFormatError(f"unsupported version {version}")
     if width_bits == 0 or width_bits % WORD_BITS != 0:
         raise DatasetFormatError(f"width {width_bits} is not a positive multiple of 64")
+    if f.seekable():
+        body_bytes = count * width_bits // 8
+        here = f.tell()
+        left = f.seek(0, os.SEEK_END) - here
+        f.seek(here)
+        if left < body_bytes:
+            raise DatasetFormatError(
+                f"truncated stream: expected {body_bytes} body bytes, got {left}"
+            )
+        if left > body_bytes:
+            raise DatasetFormatError("count mismatch: trailing data beyond declared count")
+    return width_bits, count
+
+
+def _read_stream(f) -> CodeDataset:
+    width_bits, count = _read_header(f)
     codes = np.empty((count, width_bits // WORD_BITS), dtype="<u8")
     body = codes.reshape(-1).view(np.uint8)  # read straight into the codes
     got = 0

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import time
 
-import numpy as np
 import pytest
 
 import hamsearch.bench as bench_mod
@@ -21,9 +20,8 @@ from hamsearch import (
     subcode_build,
     verify_equivalence,
 )
-from hamsearch._phases import _finish
+import hamsearch._phases as phases_mod
 from hamsearch.bench import LatencyStats, parse_config_file
-from hamsearch.memprobe import ResidentSampler, read_rss_bytes
 
 from conftest import random_dataset
 
@@ -118,33 +116,62 @@ def test_measure_latency_stats_shape():
     assert stats.p50_ms <= stats.p95_ms
 
 
-def test_measure_resident_probe_selftest():
-    # allocating a known 256 MB block must raise the reading by >= 200 MB
-    if read_rss_bytes() is None:
+@pytest.fixture(scope="module")
+def code_file_32mib(tmp_path_factory):
+    """32 MiB of codes (262144 x 1024 bits) and a sub-code index over them."""
+    tmp = tmp_path_factory.mktemp("net32")
+    ds = random_dataset(262_144, 1024, seed=73)
+    dataset_write(ds, tmp / "d.hds")
+    subcode_build(ds, plan_geometry(1024, 8), 3, tmp / "idx").close()
+    spec = {
+        "dataset_path": str(tmp / "d.hds"),
+        "index_dir": str(tmp / "idx"),
+        "workers": 2,
+        "radius": 3,
+        "query_ids": list(range(0, 262_144, 13_107)),
+    }
+    return spec, ds.codes.nbytes
+
+
+def _net(res) -> int:
+    if res["rss_note"] == "rss-unavailable":
         pytest.skip("no /proc on this platform")
-    before = read_rss_bytes()
-    with ResidentSampler(interval=0.05) as sampler:
-        block = np.ones(256 * 1024 * 1024 // 8, dtype=np.float64)
-        time.sleep(0.25)  # give the sampler a window
-    peak = sampler.peak()
-    assert peak is not None
-    assert peak - before >= 200 * 1024 * 1024
-    del block
+    return res["resident_bytes_peak"] - res["resident_bytes_start"]
 
 
-def test_resident_sampler_unavailable_path():
-    sampler = ResidentSampler(pid=999_999_999)
-    assert not sampler.available
-    sampler.start()
-    assert sampler.stop() is None
-    fields = _finish(ResidentSampler(pid=999_999_999).start())
-    assert fields["resident_bytes_start"] is None
-    assert fields["resident_bytes_peak"] is None
-    assert fields["rss_note"] == "rss-unavailable"
+def test_flat_phase_net_covers_code_bytes(code_file_32mib):
+    # the flat phase holds every code in main memory
+    spec, code_bytes = code_file_32mib
+    assert _net(bench_mod._run_phase({"op": "flat_search", **spec})) >= code_bytes
+
+
+def test_subcode_phase_net_excludes_dataset(code_file_32mib):
+    # the sub-code phase reads only its query rows from the same file, so
+    # the process peak must not hold the codes
+    spec, code_bytes = code_file_32mib
+    assert _net(bench_mod._run_phase({"op": "subcode_search", **spec})) < code_bytes / 4
+
+
+def test_phase_without_proc_status_reports_rss_unavailable(tmp_path, monkeypatch):
+    ds = random_dataset(500, 64, seed=74)
+    dataset_write(ds, tmp_path / "d.hds")
+    subcode_build(ds, plan_geometry(64, 8), 2, tmp_path / "idx").close()
+    monkeypatch.setattr(phases_mod, "_status_bytes", lambda field: None)
+    res = phases_mod.phase_subcode_search(
+        {
+            "dataset_path": str(tmp_path / "d.hds"),
+            "index_dir": str(tmp_path / "idx"),
+            "radius": 3,
+            "query_ids": [0, 1],
+        }
+    )
+    assert res["resident_bytes_start"] is None
+    assert res["resident_bytes_peak"] is None
+    assert res["rss_note"] == "rss-unavailable"
 
 
 def test_phase_reports_resident_start_and_peak(tmp_path):
-    if read_rss_bytes() is None:
+    if phases_mod._status_bytes("VmRSS") is None:
         pytest.skip("no /proc on this platform")
     ds = random_dataset(2000, 64, seed=72)
     data_path = tmp_path / "d.hds"

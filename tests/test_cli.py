@@ -83,6 +83,27 @@ def test_verify_failure_exit_code(dataset_file, monkeypatch):
                  "--radii", "0"]) == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--queries", "0", "--radii", "3,7"], ["--queries", "5", "--radii", ""],
+     ["--queries", "5", "--radii", "3,,7"]],
+    ids=["no-queries", "no-radii", "empty-radius"],
+)
+def test_verify_that_checks_nothing_is_usage_error(dataset_file, flags, capsys):
+    assert main(["verify", "--dataset", str(dataset_file), *flags]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_search_impossible_dataset_count_is_data_error(tmp_path, capsys):
+    from hamsearch.core import _HEADER
+
+    bad = tmp_path / "bad.hds"
+    bad.write_bytes(_HEADER.pack(b"HDS1", 1, 4096, 2**32 - 1) + bytes(80))
+    assert main(["search", "--backend", "flat", "--dataset", str(bad),
+                 "--query-id", "0", "--radius", "3"]) == 2
+    assert "truncated stream" in capsys.readouterr().err
+
+
 def test_phash_directory(tmp_path):
     rng = np.random.default_rng(7)
     img_dir = tmp_path / "imgs"

@@ -323,6 +323,57 @@ def test_dataset_bad_width():
         dataset_read(io.BytesIO(raw))
 
 
+# a 96-byte file whose header declares 2^32 - 1 codes of 4096 bits
+IMPOSSIBLE_COUNT = core._HEADER.pack(b"HDS1", 1, 4096, 2**32 - 1) + bytes(80)
+
+
+class _Pipe(io.RawIOBase):
+    """A non-seekable stream over some bytes, as a pipe reads."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        return self._data.readinto(buf)
+
+
+@pytest.mark.parametrize("source", ["file", "bytesio"])
+def test_dataset_impossible_count_is_truncated_before_allocating(tmp_path, source):
+    path = tmp_path / "bad.hds"
+    path.write_bytes(IMPOSSIBLE_COUNT)
+    stream = path if source == "file" else io.BytesIO(IMPOSSIBLE_COUNT)
+    with mock.patch.object(core.np, "empty", side_effect=AssertionError("allocated")):
+        with pytest.raises(DatasetFormatError, match="truncated stream"):
+            dataset_read(stream)
+
+
+@pytest.mark.parametrize("tail", [-5, 1], ids=["truncated", "trailing"])
+def test_dataset_pipe_checks_body_while_reading(tail):
+    ds = random_dataset(4, 64, seed=20)
+    buf = io.BytesIO()
+    dataset_write(ds, buf)
+    raw = buf.getvalue()
+    raw = raw[:tail] if tail < 0 else raw + bytes(tail)
+    stream = io.BufferedReader(_Pipe(raw))
+    assert not stream.seekable()
+    with pytest.raises(DatasetFormatError, match="truncated" if tail < 0 else "count mismatch"):
+        dataset_read(stream)
+
+
+def test_dataset_read_codes_reads_only_the_given_rows(tmp_path):
+    ds = random_dataset(300, 256, seed=21)
+    path = tmp_path / "d.hds"
+    dataset_write(ds, path)
+    ids = [299, 0, 17, 17]
+    assert core.dataset_read_codes(path, ids) == [ds.code(i) for i in ids]
+    for bad in (-1, 300):
+        with pytest.raises(IndexError, match="out of range"):
+            core.dataset_read_codes(path, [bad])
+
+
 # --- NeighborSet / QuerySpec invariants ---------------------------------------
 
 def test_neighborset_rejects_duplicates():

@@ -712,3 +712,36 @@ def test_bypass_scan_equals_oracle(small_indexes, width, data):
     with mock.patch.object(subcode, "SCAN_BLOCK_BYTES", block_rows * width // 8):
         got = subcode_range_search(manifest, spec)
     assert got == range_search_oracle(ds, spec)
+
+
+# --- whole pipeline against the oracle ------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_both_backends_equal_oracle(data):
+    width = data.draw(st.sampled_from([64, 128, 256]), label="width")
+    sub_width = data.draw(st.sampled_from([8, 16, 32, 64]), label="sub_width")
+    shard_count = data.draw(st.integers(1, 6), label="shard_count")
+    # small counts put more shards than codes
+    count = data.draw(st.one_of(st.integers(0, 6), st.integers(7, 400)), label="count")
+    clusters = data.draw(st.sampled_from([0, 3]), label="clusters")
+    ds = random_dataset(count, width, seed=data.draw(st.integers(0, 2**16)),
+                        cluster_count=clusters, flip_probability=0.05 if clusters else 0.0)
+    s = width // sub_width
+    radius = data.draw(
+        st.one_of(st.integers(0, s - 1), st.integers(s, width)), label="radius"
+    )
+    words = width // 64
+    query = data.draw(
+        st.lists(st.integers(0, 2**64 - 1), min_size=words, max_size=words).map(
+            lambda w: BinaryCode(width, np.array(w, dtype=np.uint64)))
+        if count == 0 else _queries(ds),
+        label="query",
+    )
+    spec = QuerySpec(query, radius)
+    truth = range_search_oracle(ds, spec)
+    with tempfile.TemporaryDirectory() as tmp, \
+            subcode_build(ds, plan_geometry(width, sub_width), shard_count, tmp) as manifest:
+        assert subcode_range_search(manifest, spec) == truth
+    with flat_build(ds, data.draw(st.integers(1, 3), label="workers")) as index:
+        assert flat_range_search(index, spec) == truth
