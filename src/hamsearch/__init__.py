@@ -34,7 +34,6 @@ from .datagen import (
 )
 from .flat import FlatIndex, flat_build, flat_range_search
 from .subcode import (
-    CandidateSet,
     IndexBuildError,
     IndexOpenError,
     QueryError,
@@ -85,7 +84,6 @@ __all__ = [
     "FlatIndex",
     "flat_build",
     "flat_range_search",
-    "CandidateSet",
     "IndexBuildError",
     "IndexOpenError",
     "QueryError",

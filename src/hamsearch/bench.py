@@ -150,11 +150,12 @@ def parse_config_file(path) -> dict:
 
 def effective_query_count(config: BenchConfig, width_bits: int) -> int:
     """Per-cell query count: the nominal count scaled by corpus size and by
-    code width so one cell's scan work stays roughly constant."""
+    code width so one cell's scan work stays roughly constant. The floor of
+    20 gives way to the dataset size, since queries are distinct codes."""
     scaled = round(
         config.query_count * config.dataset_count / FULL_SCALE_COUNT * 64 / width_bits
     )
-    return max(20, min(config.query_count, config.dataset_count, scaled))
+    return min(config.dataset_count, max(20, min(config.query_count, scaled)))
 
 
 @dataclass

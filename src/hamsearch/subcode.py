@@ -1,12 +1,15 @@
 """Secondary-memory backend: codes decomposed into fixed-width sub-codes and
 indexed as (position, value) terms in on-disk postings lists across shards.
 
-Queries run in two phases. A pigeonhole filter first fetches the postings
-list for each of the query's s sub-codes and keeps documents matching at
-least s - r of them: a code within Hamming distance r can disagree with the
-query on at most r sub-codes. Surviving candidates are then verified against
-exact distances read from a forward file. When s - r <= 0 the bound is
-vacuous and the query degrades to a streamed scan of the forward files.
+Queries run in two phases per shard. A pigeonhole filter first fetches the
+postings list for each of the query's s sub-codes and keeps documents
+matching at least s - r of them: a code within Hamming distance r can
+disagree with the query on at most r sub-codes. The filter hands on the
+surviving local ids as a sorted, unique uint32 array, and verify checks them
+against exact distances read from the shard's forward file. When s - r <= 0
+the bound is vacuous and the query degrades to a streamed scan of the forward
+files. Verify and the scan each return a NeighborSet of global DocIds, and
+the query merges one per shard.
 
 Index directory layout (all integers little-endian):
   manifest      magic HSI1, version u32, width_bits u32, sub_width u32,
@@ -203,20 +206,6 @@ class ShardDescriptor:
 
 
 @dataclass(eq=False)
-class CandidateSet:
-    """Shard-local docs surviving the filter, sorted and unique."""
-
-    local_ids: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "CandidateSet":
-        return cls(np.empty(0, dtype=np.int64))
-
-    def __len__(self):
-        return self.local_ids.size
-
-
-@dataclass(eq=False)
 class SubCodeIndexManifest:
     """Handle to an opened on-disk index; immutable and query-shareable."""
 
@@ -374,24 +363,25 @@ def subcode_open(directory) -> SubCodeIndexManifest:
     try:
         for k in range(shard_count):
             trm_path, pst_path, fwd_path = _shard_paths(directory, k)
-            for path in (trm_path, pst_path, fwd_path):
-                if not path.is_file():
-                    raise IndexOpenError(f"missing shard file {path.name} in {directory}")
             doc_count = _shard_doc_count(dataset_count, k, shard_count)
-            if fwd_path.stat().st_size != doc_count * code_bytes:
+            shard = ShardDescriptor(k, shard_count, doc_count)
+            # listed before its files are opened, so that the cleanup below
+            # closes whatever descriptor an open that fails part way leaves
+            shards.append(shard)
+            try:
+                shard._terms = _open_term_table(trm_path, pst_path, geometry)
+                shard._pst_fd = os.open(pst_path, os.O_RDONLY)
+                shard._fwd_fd = os.open(fwd_path, os.O_RDONLY)
+            except FileNotFoundError as exc:
+                name = os.path.basename(exc.filename)
+                raise IndexOpenError(f"missing shard file {name} in {directory}") from exc
+            except OSError as exc:
+                raise IndexOpenError(f"cannot open shard {k} in {directory}: {exc}") from exc
+            if os.fstat(shard._fwd_fd).st_size != doc_count * code_bytes:
                 raise IndexOpenError(
                     f"truncated forward file {fwd_path.name}: expected "
                     f"{doc_count * code_bytes} bytes"
                 )
-            shard = ShardDescriptor(
-                shard_index=k,
-                shard_count=shard_count,
-                doc_count=doc_count,
-                _terms=_open_term_table(trm_path, pst_path, geometry),
-                _pst_fd=os.open(pst_path, os.O_RDONLY),
-                _fwd_fd=os.open(fwd_path, os.O_RDONLY),
-            )
-            shards.append(shard)
     except Exception:
         for shard in shards:
             shard.close()
@@ -430,49 +420,37 @@ def _decode_postings(data: np.ndarray, lens: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.uint32)
     ids, ends = varint.decode_with_ends(data, np.uint32)
     # one running sum over all lists: each list's first entry, its id
-    # itself, has the previous list's last id taken off (modulo 2**32)
-    firsts = np.searchsorted(ends, np.cumsum(lens) - lens)
+    # itself, has the previous list's last id taken off (modulo 2**32).
+    # The list starts are summed as int64, the type of ends: searching
+    # int64 for uint64 would compare both as float64.
+    firsts = np.searchsorted(ends, np.cumsum(lens, dtype=np.int64) - lens)
     lasts = np.add.reduceat(ids, firsts, dtype=np.uint32)[:-1]
     ids[firsts[1:]] -= lasts
     return np.cumsum(ids, dtype=np.uint32, out=ids)
 
 
-def _shard_term_reads(shard, geometry, spec, threshold):
-    """Postings (offset, length) pairs for the query's present terms, or
-    None when too few of its terms are present for any doc to reach the
-    match threshold. Offsets ascend by construction: the build lays lists out in
-    (position, value) order and the query takes one value per position."""
-    sw = geometry.sub_width
-    values = spec.query.words.view(f"<u{sw // 8}")
-    offsets, lengths = shard._terms.lookup(_term_keys(np.arange(values.size), values, sw))
-    if lengths.size < threshold:
-        return None
-    return offsets.astype(np.int64), lengths.astype(np.int64)
-
-
 def candidate_filter(
     shard: ShardDescriptor, geometry: SubCodeGeometry, spec: QuerySpec
-) -> CandidateSet:
+) -> np.ndarray:
     """Pigeonhole candidate generation for one shard.
 
     Fetches the postings list for each of the query's s sub-code terms and
     keeps local docs appearing in at least s - radius of them. Absent terms
-    count as empty lists. Requires s - radius >= 1; callers bypass the
-    filter entirely otherwise.
+    count as empty lists. Returns the surviving local ids as a sorted,
+    unique uint32 array, the input verify takes. Requires s - radius >= 1;
+    callers bypass the filter entirely otherwise.
     """
-    s = geometry.subcode_count
-    threshold = s - spec.radius
+    threshold = geometry.subcode_count - spec.radius
     if threshold < 1:
         raise ValueError("candidate_filter requires s - radius >= 1; bypass instead")
-    if shard.doc_count == 0:
-        return CandidateSet.empty()
-    reads = _shard_term_reads(shard, geometry, spec, threshold)
-    if reads is None:
-        return CandidateSet.empty()
-    offs, lens = reads
+    sw = geometry.sub_width
+    values = spec.query.words.view(f"<u{sw // 8}")
+    # offsets ascend by construction: the build lays lists out in
+    # (position, value) order and the query takes one value per position
+    offs, lens = shard._terms.lookup(_term_keys(np.arange(values.size), values, sw))
     chunks = [
-        _pread_exact(shard._pst_fd, int(ln), int(off), shard, "postings")
-        for off, ln in zip(offs, lens)
+        _pread_exact(shard._pst_fd, ln, off, shard, "postings")
+        for off, ln in zip(offs.tolist(), lens.tolist())
     ]
     data = np.frombuffer(b"".join(chunks), dtype=np.uint8)
     try:
@@ -489,13 +467,11 @@ def candidate_filter(
     # run of L equal ids; when L >= threshold, L - threshold + 1 of them
     # equal the id threshold - 1 places on
     ids.sort()
-    span = ids.size - threshold + 1
-    if span <= 0:
-        return CandidateSet.empty()
+    span = max(ids.size - threshold + 1, 0)
     hits = ids if threshold == 1 else ids[:span][ids[:span] == ids[threshold - 1 :]]
     first = np.ones(hits.size, dtype=bool)
     np.not_equal(hits[1:], hits[:-1], out=first[1:])
-    return CandidateSet(hits[first].astype(np.int64))
+    return hits[first]
 
 
 def _read_forward_rows(shard, words, firsts, counts):
@@ -512,6 +488,21 @@ def _read_forward_rows(shard, words, firsts, counts):
     return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
 
+def _forward_blocks(shard, words, first, end):
+    """Yield (base, rows) for the forward rows [first, end), one pread of
+    at most SCAN_BLOCK_BYTES per block; rows[i] is row base + i.
+
+    The caller drops each block before it asks for the next, and this
+    generator keeps none it has yielded: two blocks plus the kernel's
+    temporaries outgrow glibc's heap trim threshold, so the heap would
+    shrink and fault its pages back in on every block.
+    """
+    rows_per_block = max(1, SCAN_BLOCK_BYTES // (words * 8))
+    for base in range(first, end, rows_per_block):
+        n = min(rows_per_block, end - base)
+        yield base, _read_forward_rows(shard, words, [base], [n])
+
+
 def _candidate_rows(shard, words, local_ids):
     """Yield (local ids, their codes) for sorted unique local ids, in batches
     of at most SCAN_BLOCK_BYTES of codes.
@@ -519,6 +510,9 @@ def _candidate_rows(shard, words, local_ids):
     A batch whose runs of consecutive ids lie far apart is read run by run.
     A dense batch streams the rows it spans block by block instead and picks
     its own rows out of each block, so that the kernel runs once per batch.
+    A block of a dense batch may hold none of its rows; the rows such gaps
+    add to the read are within the DENSE_RUN_GAP_BYTES per run that made
+    the batch dense.
     """
     code_bytes = words * 8
     rows_per_block = max(1, SCAN_BLOCK_BYTES // code_bytes)
@@ -536,68 +530,56 @@ def _candidate_rows(shard, words, local_ids):
             )
             continue
         rows = np.empty((batch.size, words), dtype=np.uint64)
-        for base in range(first, end, rows_per_block):
-            n = min(rows_per_block, end - base)
-            b_lo, b_hi = np.searchsorted(batch, (base, base + n))
-            if b_lo < b_hi:
-                block = _read_forward_rows(shard, words, [base], [n])
-                np.take(block, batch[b_lo:b_hi] - base, axis=0, out=rows[b_lo:b_hi])
-                del block  # as in _scan_shard
+        for base, block in _forward_blocks(shard, words, first, end):
+            b_lo, b_hi = np.searchsorted(batch, (base, base + block.shape[0]))
+            np.take(block, batch[b_lo:b_hi] - base, axis=0, out=rows[b_lo:b_hi])
+            del block  # see _forward_blocks
         yield batch, rows
 
 
+def _neighbors(hit_ids: list, hit_dists: list) -> NeighborSet:
+    """One NeighborSet from parts of hit ids and their distances."""
+    if not hit_ids:
+        return NeighborSet.empty()
+    return NeighborSet(np.concatenate(hit_ids), np.concatenate(hit_dists))
+
+
 def verify(
-    shard: ShardDescriptor, candidates: CandidateSet, spec: QuerySpec
+    shard: ShardDescriptor, candidates: np.ndarray, spec: QuerySpec
 ) -> NeighborSet:
     """Exact-distance verification of filter candidates for one shard.
 
-    Candidate local ids are sorted and unique, as candidate_filter returns
-    them. Reads their codes from the forward file, one pread per run of
-    consecutive local ids unless the runs are dense, and returns surviving
-    entries with global DocIds. Candidates are processed in bounded batches
-    so a permissive filter cannot blow up resident memory.
+    candidates are local ids, sorted and unique, as the uint32 array that
+    candidate_filter returns. Reads their codes from the forward file, one
+    pread per run of consecutive local ids unless the runs are dense, and
+    returns surviving entries with global DocIds. Candidates are processed
+    in bounded batches so a permissive filter cannot blow up resident
+    memory.
     """
-    if len(candidates) == 0:
-        return NeighborSet.empty()
     hit_ids = []
     hit_dists = []
-    for local_ids, codes in _candidate_rows(
-        shard, spec.query.words.size, candidates.local_ids
-    ):
+    for local_ids, codes in _candidate_rows(shard, spec.query.words.size, candidates):
         dist = hamming_distances(codes, spec.query.words)
         keep = np.flatnonzero(dist <= spec.radius)
         if keep.size:
             hit_ids.append(shard.local_to_global(local_ids[keep]))
             hit_dists.append(dist[keep])
-    if not hit_ids:
-        return NeighborSet.empty()
-    return NeighborSet(
-        np.concatenate(hit_ids).astype(np.uint32), np.concatenate(hit_dists)
-    )
+    return _neighbors(hit_ids, hit_dists)
 
 
-def _scan_shard(shard: ShardDescriptor, spec: QuerySpec) -> tuple:
+def _scan_shard(shard: ShardDescriptor, spec: QuerySpec) -> NeighborSet:
     """Bypass path: stream the whole forward file in bounded blocks."""
     words = spec.query.words.size
-    code_bytes = words * 8
-    rows_per_block = max(1, SCAN_BLOCK_BYTES // code_bytes)
     hit_ids = []
     hit_dists = []
-    for base in range(0, shard.doc_count, rows_per_block):
-        n = min(rows_per_block, shard.doc_count - base)
-        # the block is freed before the next one is read: two blocks plus
-        # the kernel's temporaries outgrow glibc's heap trim threshold, so
-        # the heap would shrink and fault its pages back in on every block
-        block = _read_forward_rows(shard, words, [base], [n])
+    for base, block in _forward_blocks(shard, words, 0, shard.doc_count):
         dist = hamming_distances(block, spec.query.words)
-        del block
+        del block  # see _forward_blocks
         hits = np.flatnonzero(dist <= spec.radius)
         if hits.size:
             hit_ids.append(shard.local_to_global(hits + base))
             hit_dists.append(dist[hits])
-    if not hit_ids:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)
-    return np.concatenate(hit_ids), np.concatenate(hit_dists)
+    return _neighbors(hit_ids, hit_dists)
 
 
 def subcode_range_search(manifest: SubCodeIndexManifest, spec: QuerySpec) -> NeighborSet:
@@ -619,11 +601,8 @@ def subcode_range_search(manifest: SubCodeIndexManifest, spec: QuerySpec) -> Nei
         # adds lock traffic around these small kernels
         for shard in manifest.shards:
             candidates = candidate_filter(shard, geometry, spec)
-            found = verify(shard, candidates, spec)
-            parts.append((found.ids.astype(np.int64), found.distances))
-    ids = np.concatenate([p[0] for p in parts])
-    dists = np.concatenate([p[1] for p in parts])
-    return NeighborSet(ids.astype(np.uint32), dists)
+            parts.append(verify(shard, candidates, spec))
+    return _neighbors([p.ids for p in parts], [p.distances for p in parts])
 
 
 def read_code(manifest: SubCodeIndexManifest, doc_id: int) -> BinaryCode:

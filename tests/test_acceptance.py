@@ -376,7 +376,7 @@ def test_acceptance_07_pigeonhole_soundness(tmp_path):
         survivors = set()
         for shard in manifest.shards:
             cands = candidate_filter(shard, geometry, spec)
-            survivors.update(shard.local_to_global(cands.local_ids).tolist())
+            survivors.update(shard.local_to_global(cands).tolist())
         if not truth <= survivors:
             violations += 1
     for _, _, manifest in worlds:

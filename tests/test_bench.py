@@ -93,6 +93,8 @@ def test_effective_query_count_scales():
     assert effective_query_count(smaller, 4096) < 1000
     tiny = BenchConfig(dataset_count=100)
     assert effective_query_count(tiny, 64) == 20
+    # the floor of 20 gives way to a dataset of fewer codes
+    assert effective_query_count(BenchConfig(dataset_count=10), 64) == 10
 
 
 # --- measurement ops ------------------------------------------------------------

@@ -165,6 +165,19 @@ def test_bench_cli_with_config_file(tmp_path, capsys):
     assert {r["radius"] for r in rows} == {"3", "11"}
 
 
+def test_bench_cli_on_fewer_codes_than_the_query_floor(tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["bench", "--widths", "64", "--count", "10", "--queries", "20",
+                 "--radii", "64:3", "--workers", "2", "--shards", "2",
+                 "--out", str(out_dir)]) == 0
+    import csv
+
+    with open(out_dir / "report.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 4  # 2 backends x 1 radius x warm/cold
+    assert {r["status"] for r in rows} == {"ok"}
+
+
 # --- bench settings: one table for the config file and the flags ------------
 
 # per config key: (value in the file, value of the flag, a malformed value or
