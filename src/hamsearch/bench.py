@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     BinaryCode,
     CodeDataset,
+    NeighborSet,
     QuerySpec,
     dataset_read,
     dataset_write,
@@ -235,21 +236,23 @@ def verify_equivalence(dataset: CodeDataset, queries, radii, *,
         for radius in radii:
             checked += 1
             keep = truth.distances <= radius
-            expected = set(zip(truth.ids[keep].tolist(), truth.distances[keep].tolist()))
+            expected = NeighborSet(truth.ids[keep], truth.distances[keep])
             spec = QuerySpec(code, radius)
             for backend, search in (
                 ("flat", lambda s: flat_range_search(flat_index, s)),
                 ("subcode", lambda s: subcode_range_search(manifest, s)),
             ):
-                got = search(spec).as_set()
+                got = search(spec)
                 if got != expected:
+                    # an id with a wrong distance is both missing and extra
+                    want, have = expected.as_set(), got.as_set()
                     failures.append(
                         EquivalenceFailure(
                             query_index=qi,
                             radius=radius,
                             backend=backend,
-                            missing=sorted(i for i, _ in expected - got),
-                            extra=sorted(i for i, _ in got - expected),
+                            missing=sorted(i for i, _ in want - have),
+                            extra=sorted(i for i, _ in have - want),
                         )
                     )
     return EquivalenceReport(checked=checked, failures=failures)

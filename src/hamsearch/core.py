@@ -156,8 +156,10 @@ class QuerySpec:
 class NeighborSet:
     """Result of a radius query: doc ids with exact Hamming distances.
 
-    Entries are kept sorted by id; the set-of-pairs semantics is what both
-    backends and the oracle are compared on.
+    Entries are sorted by id, so two results are equal exactly when their
+    id and distance arrays are. Strictly ascending ids are taken as they
+    are, since they are sorted and unique already; any other input is
+    sorted by id and must not repeat an id.
     """
 
     ids: np.ndarray
@@ -168,11 +170,12 @@ class NeighborSet:
         dist = np.asarray(self.distances, dtype=np.uint32)
         if ids.shape != dist.shape or ids.ndim != 1:
             raise ValueError("ids and distances must be 1-D arrays of equal length")
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        dist = dist[order]
-        if ids.size > 1 and np.any(ids[1:] == ids[:-1]):
-            raise ValueError("duplicate doc ids in neighbor set")
+        if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            dist = dist[order]
+            if (ids[1:] == ids[:-1]).any():
+                raise ValueError("duplicate doc ids in neighbor set")
         self.ids = ids
         self.distances = dist
 
@@ -274,7 +277,7 @@ def range_search_oracle(dataset: CodeDataset, spec: QuerySpec) -> NeighborSet:
         )
     dist = hamming_distances(dataset.codes, spec.query.words)
     hits = np.flatnonzero(dist <= spec.radius)
-    return NeighborSet(hits.astype(np.uint32), dist[hits])
+    return NeighborSet(hits, dist[hits])
 
 
 def _check_subcode_geometry(width_bits: int, sub_width: int) -> None:
@@ -302,16 +305,14 @@ def subcode_columns(codes: np.ndarray, width_bits: int, sub_width: int) -> np.nd
 
 def dataset_write(dataset: CodeDataset, destination) -> None:
     """Serialize a dataset; `destination` is a path or a binary file object."""
-    header = _HEADER.pack(
-        DATASET_MAGIC, DATASET_VERSION, dataset.width_bits, dataset.count
-    )
-    if hasattr(destination, "write"):
-        destination.write(header)
-        destination.write(dataset.codes.astype("<u8", copy=False).tobytes())
-    else:
+    if not hasattr(destination, "write"):
         with open(destination, "wb") as f:
-            f.write(header)
-            f.write(dataset.codes.astype("<u8", copy=False).tobytes())
+            return dataset_write(dataset, f)
+    destination.write(
+        _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, dataset.width_bits, dataset.count)
+    )
+    # C-contiguous uint64 on a little-endian platform: the body's exact bytes
+    destination.write(dataset.codes)
 
 
 def dataset_read(source) -> CodeDataset:

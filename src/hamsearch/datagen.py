@@ -228,12 +228,9 @@ def read_pgm(source) -> GrayscaleImage:
 
 def write_pgm(image: GrayscaleImage, destination) -> None:
     """Write a binary (P5) 8-bit PGM file."""
-    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    body = np.clip(np.rint(image.pixels), 0, 255).astype(np.uint8).tobytes()
-    if hasattr(destination, "write"):
-        destination.write(header)
-        destination.write(body)
-    else:
+    if not hasattr(destination, "write"):
         with open(destination, "wb") as f:
-            f.write(header)
-            f.write(body)
+            return write_pgm(image, f)
+    destination.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
+    # C order writes the rows top to bottom, whatever the pixels' layout
+    destination.write(np.clip(np.rint(image.pixels), 0, 255).astype(np.uint8, order="C"))

@@ -90,25 +90,19 @@ def _scan_chunk(buffer, query_words, radius, lo, hi):
 
 
 def flat_range_search(index: FlatIndex, spec: QuerySpec) -> NeighborSet:
-    """Exact radius query by chunked parallel scan over the whole buffer."""
+    """Exact radius query by chunked parallel scan over the whole buffer;
+    chunks and their hits come in row order, so the ids need no sort."""
     if spec.query.width_bits != index.width_bits:
         raise ValueError(
             f"query width {spec.query.width_bits} does not match index "
             f"width {index.width_bits}"
         )
-    if index.count == 0:
-        return NeighborSet.empty()
     q = spec.query.words
     r = spec.radius
     pool = index._pool
-    if pool is None:
-        ids, dist = _scan_chunk(index.buffer, q, r, 0, index.count)
-        return NeighborSet(ids.astype(np.uint32), dist)
-    parts = pool.map(
+    parts = (map if pool is None else pool.map)(
         lambda b: _scan_chunk(index.buffer, q, r, b[0], b[1]),
         _chunk_bounds(index.count, index.workers),
     )
     id_parts, dist_parts = zip(*parts)
-    return NeighborSet(
-        np.concatenate(id_parts).astype(np.uint32), np.concatenate(dist_parts)
-    )
+    return NeighborSet(np.concatenate(id_parts), np.concatenate(dist_parts))

@@ -300,7 +300,7 @@ def _build_shard(dataset, geometry, k, shard_count, directory):
     rows = np.ascontiguousarray(dataset.codes[k::shard_count])
     n = rows.shape[0]
     with open(fwd_path, "wb") as f:
-        f.write(rows.tobytes())
+        f.write(rows)
 
     sub = subcode_columns(rows, geometry.width_bits, geometry.sub_width)
     key_parts = []
@@ -326,10 +326,10 @@ def _build_shard(dataset, geometry, k, shard_count, directory):
 
     with open(trm_path, "wb") as f:
         for part in key_parts + length_parts:
-            f.write(part.tobytes())
+            f.write(part)
     with open(pst_path, "wb") as f:
         for part in postings_parts:
-            f.write(part.tobytes())
+            f.write(part)
 
 
 def subcode_open(directory) -> SubCodeIndexManifest:
@@ -538,7 +538,8 @@ def _candidate_rows(shard, words, local_ids):
 
 
 def _neighbors(hit_ids: list, hit_dists: list) -> NeighborSet:
-    """One NeighborSet from parts of hit ids and their distances."""
+    """One NeighborSet from parts of hit ids and their distances; only the
+    merge of shards, whose ids interleave, is not already ascending."""
     if not hit_ids:
         return NeighborSet.empty()
     return NeighborSet(np.concatenate(hit_ids), np.concatenate(hit_dists))

@@ -233,6 +233,35 @@ def test_verify_equivalence_pinpoints_failure(tmp_path):
     assert 3 in failure.missing
 
 
+def test_verify_equivalence_catches_a_wrong_distance(tmp_path):
+    ds = random_dataset(500, 64, seed=73)
+    flat_index = flat_build(ds, workers=2)
+    manifest = subcode_build(ds, plan_geometry(64, 8), 2, tmp_path / "idx")
+    import hamsearch.bench as bm
+
+    real = bm.flat_range_search
+
+    def off_by_one(index, spec):
+        got = real(index, spec)
+        dist = got.distances.copy()
+        dist[0] += 1
+        return NeighborSet(got.ids, dist)
+
+    try:
+        bm.flat_range_search = off_by_one
+        report = verify_equivalence(
+            ds, [ds.code(3)], [0, 5], flat_index=flat_index, manifest=manifest
+        )
+    finally:
+        bm.flat_range_search = real
+    manifest.close()
+    flat_index.close()
+    assert not report.passed
+    assert [(f.backend, f.radius) for f in report.failures] == [("flat", 0), ("flat", 5)]
+    assert report.failures[0].missing == report.failures[0].extra == [3]
+    assert "missing ids [3], extra ids [3]" in report.describe()
+
+
 # --- run_suite -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")

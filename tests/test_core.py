@@ -377,14 +377,34 @@ def test_dataset_read_codes_reads_only_the_given_rows(tmp_path):
 # --- NeighborSet / QuerySpec invariants ---------------------------------------
 
 def test_neighborset_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
-        NeighborSet(np.array([1, 1]), np.array([0, 2]))
+    # a repeat inside an otherwise ascending run, and out of order
+    for ids in ([1, 1], [1, 2, 2, 3], [3, 1, 2, 1]):
+        with pytest.raises(ValueError, match="duplicate"):
+            NeighborSet(np.array(ids), np.arange(len(ids)))
 
 
 def test_neighborset_sorts_by_id():
     ns = NeighborSet(np.array([5, 2, 9]), np.array([1, 2, 3]))
     assert ns.ids.tolist() == [2, 5, 9]
     assert ns.distances.tolist() == [2, 1, 3]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    pairs=st.dictionaries(
+        st.integers(0, 2**32 - 1), st.integers(0, 4096), max_size=40
+    ),
+    data=st.data(),
+)
+def test_neighborset_any_permutation_equals_sorted_input(pairs, data):
+    ids = sorted(pairs)
+    shuffled = data.draw(st.permutations(ids))
+    ns = NeighborSet(np.array(shuffled, dtype=np.int64), [pairs[i] for i in shuffled])
+    reference = NeighborSet(np.array(ids, dtype=np.uint32), [pairs[i] for i in ids])
+    assert ns == reference
+    assert ns.ids.dtype == ns.distances.dtype == np.uint32
+    assert ns.ids.tolist() == ids
+    assert ns.distances.tolist() == [pairs[i] for i in ids]
 
 
 def test_queryspec_radius_bounds():

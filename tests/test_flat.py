@@ -15,9 +15,12 @@ from conftest import random_dataset
 
 def test_empty_dataset_builds_and_answers_empty():
     ds = CodeDataset(64, np.empty((0, 1), dtype=np.uint64))
-    index = flat_build(ds, workers=3)
-    result = flat_range_search(index, QuerySpec(BinaryCode.zeros(64), 10))
-    assert len(result) == 0
+    spec = QuerySpec(BinaryCode.zeros(64), 10)
+    for workers in (1, 3):
+        with flat_build(ds, workers=workers) as index:
+            result = flat_range_search(index, spec)
+        assert len(result) == 0
+        assert result == range_search_oracle(ds, spec)
 
 
 def test_buffer_size_arithmetic():
@@ -68,6 +71,12 @@ def test_worker_count_independence():
     reference = flat_range_search(flat_build(ds, workers=1), spec)
     for workers in (2, 5, 8):
         assert flat_range_search(flat_build(ds, workers=workers), spec) == reference
+    # fewer codes than workers: some chunks are empty
+    for count in (1, 3):
+        ds = random_dataset(count, 64, seed=36)
+        spec = QuerySpec(ds.code(0), 64)
+        with flat_build(ds, workers=5) as index:
+            assert flat_range_search(index, spec) == range_search_oracle(ds, spec)
 
 
 def test_width_mismatch_rejected():
@@ -112,3 +121,8 @@ def test_close_shuts_pool_down_and_is_idempotent():
     # a closed index still answers exactly, on the calling thread
     assert flat_range_search(index, spec) == range_search_oracle(ds, spec)
     flat_build(ds, workers=1).close()
+    closed = flat_build(ds, workers=5)
+    closed.close()
+    for r in (0, 20, 64):
+        spec = QuerySpec(ds.code(5), r)
+        assert flat_range_search(closed, spec) == range_search_oracle(ds, spec)

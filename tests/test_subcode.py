@@ -768,6 +768,38 @@ def test_both_backends_equal_oracle(data):
         assert flat_range_search(index, spec) == truth
 
 
+# --- result ordering ---------------------------------------------------------------
+
+def test_a_query_sorts_only_to_merge_shards(tmp_path, monkeypatch):
+    # the flat scan, verify and the bypass scan each yield ascending ids, so
+    # only the merge of a sub-code query's interleaved shard results sorts
+    ds = random_dataset(3000, 64, seed=74, cluster_count=20, flip_probability=0.05)
+    geometry = plan_geometry(64, 8)  # s=8: r=3 filters, r=8 bypasses
+    manifest = subcode_build(ds, geometry, 5, tmp_path / "idx")
+    index = flat_build(ds, workers=5)
+    cases = [
+        ("flat", lambda spec: flat_range_search(index, spec), 8, 0),
+        ("filter", lambda spec: subcode_range_search(manifest, spec), 3, 1),
+        ("bypass", lambda spec: subcode_range_search(manifest, spec), 8, 1),
+    ]
+    truths = [range_search_oracle(ds, QuerySpec(ds.code(11), r)) for _, _, r, _ in cases]
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    counts = {}
+    for (name, search, radius, _), truth in zip(cases, truths):
+        calls.clear()
+        assert search(QuerySpec(ds.code(11), radius)) == truth
+        # hits in several shards, so the shards' results interleave
+        assert len(set((truth.ids % 5).tolist())) > 1
+        counts[name] = len(calls)
+    monkeypatch.undo()
+    manifest.close()
+    index.close()
+    assert not filter_bypassed(geometry, 3) and filter_bypassed(geometry, 8)
+    assert counts == {name: n for name, _, _, n in cases}
+
+
 # --- the benchmark's traced names ------------------------------------------------
 
 def test_benchmark_tracer_reaches_every_traced_name(tmp_path, monkeypatch):
