@@ -777,27 +777,28 @@ def test_a_query_sorts_only_to_merge_shards(tmp_path, monkeypatch):
     geometry = plan_geometry(64, 8)  # s=8: r=3 filters, r=8 bypasses
     manifest = subcode_build(ds, geometry, 5, tmp_path / "idx")
     index = flat_build(ds, workers=5)
-    cases = [
-        ("flat", lambda spec: flat_range_search(index, spec), 8, 0),
-        ("filter", lambda spec: subcode_range_search(manifest, spec), 3, 1),
-        ("bypass", lambda spec: subcode_range_search(manifest, spec), 8, 1),
-    ]
-    truths = [range_search_oracle(ds, QuerySpec(ds.code(11), r)) for _, _, r, _ in cases]
+    searches = {
+        "flat": (lambda spec: flat_range_search(index, spec), 8),
+        "filter": (lambda spec: subcode_range_search(manifest, spec), 3),
+        "bypass": (lambda spec: subcode_range_search(manifest, spec), 8),
+    }
+    truths = {name: range_search_oracle(ds, QuerySpec(ds.code(11), r))
+              for name, (_, r) in searches.items()}
     calls = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
     counts = {}
-    for (name, search, radius, _), truth in zip(cases, truths):
+    for name, (search, radius) in searches.items():
         calls.clear()
-        assert search(QuerySpec(ds.code(11), radius)) == truth
-        # hits in several shards, so the shards' results interleave
-        assert len(set((truth.ids % 5).tolist())) > 1
+        assert search(QuerySpec(ds.code(11), radius)) == truths[name]
         counts[name] = len(calls)
     monkeypatch.undo()
     manifest.close()
     index.close()
     assert not filter_bypassed(geometry, 3) and filter_bypassed(geometry, 8)
-    assert counts == {name: n for name, _, _, n in cases}
+    # hits in several shards, so that the shards' results interleave
+    assert all(len(set((t.ids % 5).tolist())) > 1 for t in truths.values())
+    assert counts == {"flat": 0, "filter": 1, "bypass": 1}
 
 
 # --- the benchmark's traced names ------------------------------------------------
