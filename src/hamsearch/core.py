@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import struct
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,3 +382,40 @@ def _read_stream(f) -> CodeDataset:
     if f.read(1):
         raise DatasetFormatError("count mismatch: trailing data beyond declared count")
     return CodeDataset(width_bits, codes)
+
+
+class _InFlight:
+    """Counts the queries in flight on an index, so that closing it
+    releases what they read only after the last one has left.
+
+    `enter` returns False once the index is closed, and True otherwise,
+    when the caller must call `leave` when done. `close` and `leave`
+    return True to exactly one caller, who must then release the index's
+    resources: to `close` if no query is in flight, or else to the `leave`
+    of the last one. The index releases them itself rather than through a
+    callback held here, which would tie the index into a reference cycle
+    and keep its memory alive until the garbage collector runs.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._count = 0
+        self._closed = False
+
+    def enter(self) -> bool:
+        with self._lock:
+            if self._closed:
+                return False
+            self._count += 1
+            return True
+
+    def leave(self) -> bool:
+        with self._lock:
+            self._count -= 1
+            return self._closed and self._count == 0
+
+    def close(self) -> bool:
+        with self._lock:
+            idle = not self._closed and self._count == 0
+            self._closed = True
+            return idle

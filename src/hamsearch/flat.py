@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CodeDataset, NeighborSet, QuerySpec, hamming_distances
+from .core import CodeDataset, NeighborSet, QuerySpec, _InFlight, hamming_distances
 
 DEFAULT_WORKERS = 5
 
@@ -26,13 +26,18 @@ class FlatIndex:
     workers: int
     build_seconds: float
     _pool: ThreadPoolExecutor | None = field(default=None, repr=False)
+    _queries: _InFlight = field(default_factory=_InFlight, init=False, repr=False)
 
     def memory_bytes(self) -> int:
         return self.buffer.nbytes
 
     def close(self):
-        """Shut the worker pool down; safe to call twice. Queries issued
-        after close scan on the calling thread."""
+        """Shut the worker pool down once no query is using it; safe to
+        call twice. Queries issued after close scan on the calling thread."""
+        if self._queries.close():
+            self._shutdown_pool()
+
+    def _shutdown_pool(self):
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
@@ -99,10 +104,15 @@ def flat_range_search(index: FlatIndex, spec: QuerySpec) -> NeighborSet:
         )
     q = spec.query.words
     r = spec.radius
-    pool = index._pool
-    parts = (map if pool is None else pool.map)(
-        lambda b: _scan_chunk(index.buffer, q, r, b[0], b[1]),
-        _chunk_bounds(index.count, index.workers),
-    )
+    pooled = index._queries.enter()
+    try:
+        pool = index._pool if pooled else None
+        parts = list((map if pool is None else pool.map)(
+            lambda b: _scan_chunk(index.buffer, q, r, b[0], b[1]),
+            _chunk_bounds(index.count, index.workers),
+        ))
+    finally:
+        if pooled and index._queries.leave():
+            index._shutdown_pool()
     id_parts, dist_parts = zip(*parts)
     return NeighborSet(np.concatenate(id_parts), np.concatenate(dist_parts))

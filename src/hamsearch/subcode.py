@@ -1,15 +1,21 @@
 """Secondary-memory backend: codes decomposed into fixed-width sub-codes and
 indexed as (position, value) terms in on-disk postings lists across shards.
 
-Queries run in two phases per shard. A pigeonhole filter first fetches the
-postings list for each of the query's s sub-codes and keeps documents
-matching at least s - r of them: a code within Hamming distance r can
-disagree with the query on at most r sub-codes. The filter hands on the
-surviving local ids as a sorted, unique uint32 array, and verify checks them
-against exact distances read from the shard's forward file. When s - r <= 0
-the bound is vacuous and the query degrades to a streamed scan of the forward
-files. Verify and the scan each return a NeighborSet of global DocIds, and
-the query merges one per shard.
+Queries run in two phases over groups of consecutive shards. Open splits the
+shards into groups whose postings a query is expected to decode a bounded
+number of ids from (FILTER_GROUP_IDS): many small shards share one group, a
+large shard is a group of its own. Within a group, shard k's local id j is
+group id base_k + j, base_k being the doc count of the shards before it. A
+pigeonhole filter first fetches every shard's postings list for each of the
+query's s sub-codes, decodes them all at once into group ids, and keeps
+documents matching at least s - r of them: a code within Hamming distance r
+can disagree with the query on at most r sub-codes. The filter hands on the
+surviving group ids as a sorted, unique uint32 array, and verify checks them
+against exact distances read from the shards' forward files, one kernel call
+for the group. When s - r <= 0 the bound is vacuous and the query degrades
+to a streamed scan of each shard's forward file. Verify and the scan each
+return a NeighborSet of global DocIds, and the query merges one per group
+or shard.
 
 Index directory layout (all integers little-endian):
   manifest      magic HSI1, version u32, width_bits u32, sub_width u32,
@@ -33,6 +39,7 @@ holds by construction: it is stored in sub_width bits.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -46,6 +53,7 @@ from .core import (
     CodeDataset,
     NeighborSet,
     QuerySpec,
+    _InFlight,
     _check_subcode_geometry,
     _check_width,
     hamming_distances,
@@ -69,6 +77,12 @@ SCAN_BLOCK_BYTES = 1 << 20
 # span. On a 2-vCPU VM a pread of a few bytes from the page cache took about
 # 1.2 us, the time a 1 MiB pread spends on 4 KiB.
 DENSE_RUN_GAP_BYTES = 4096
+
+# a query filters and verifies consecutive shards in one pass while it is
+# expected to decode at most this many postings ids from them (see
+# _group_bounds): 64 KiB of uint32 ids, a few of the pass's arrays of that
+# size staying well under glibc's heap trim threshold
+FILTER_GROUP_IDS = 16384
 
 # incremented on every subcode_build call; restart checks assert it stays 0
 # in a process that only opens and queries an existing index
@@ -207,15 +221,27 @@ class ShardDescriptor:
 
 @dataclass(eq=False)
 class SubCodeIndexManifest:
-    """Handle to an opened on-disk index; immutable and query-shareable."""
+    """Handle to an opened on-disk index; immutable and query-shareable.
+
+    groups splits shards into the consecutive groups that a filtered query
+    passes over one at a time (see `_group_bounds`).
+    """
 
     geometry: SubCodeGeometry
     shard_count: int
     dataset_count: int
     directory: Path
     shards: list
+    groups: list
+    _queries: _InFlight = field(default_factory=_InFlight, init=False, repr=False)
 
     def close(self):
+        """Refuse new queries with QueryError, and close the shards' files
+        once no query is reading them; safe to call twice."""
+        if self._queries.close():
+            self._close_shards()
+
+    def _close_shards(self):
         for shard in self.shards:
             shard.close()
 
@@ -392,32 +418,41 @@ def subcode_open(directory) -> SubCodeIndexManifest:
         dataset_count=dataset_count,
         directory=directory,
         shards=shards,
+        groups=[
+            tuple(shards[lo:hi])
+            for lo, hi in _group_bounds([s.doc_count for s in shards], geometry)
+        ],
     )
 
 
-def _pread_exact(fd, length, offset, shard, what):
+def _pread_spans(shard, fd, offsets, lengths, what) -> bytes:
+    """Read the byte spans (offset, length) of one of a shard's files, one
+    pread each, and join them in order."""
     if fd < 0:
         raise QueryError(
             f"{what} read in shard {shard.shard_index}: the index is closed"
         )
-    data = os.pread(fd, length, offset)
-    if len(data) != length:
+    data = b"".join(map(os.pread, itertools.repeat(fd, len(lengths)), lengths, offsets))
+    want = sum(lengths)
+    if len(data) != want:
         raise QueryError(
-            f"{what} read failed in shard {shard.shard_index} at offset {offset}: "
-            f"wanted {length} bytes, got {len(data)}"
+            f"{what} read failed in shard {shard.shard_index}: wanted {want} "
+            f"bytes from offset {offsets[0]} on, got {len(data)}"
         )
     return data
 
 
-def _decode_postings(data: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def _decode_postings(data: np.ndarray, lens: np.ndarray, heads, steps) -> tuple:
     """Decode concatenated postings lists in one vectorized pass.
 
     data holds the lists back to back; lens gives each list's byte length,
-    all of them positive. Returns the local ids as uint32, which holds any
-    shard's ids, concatenated in list order.
+    all of them positive. From list heads[i] on, every id is steps[i]
+    larger, so that a group's local ids come out as group ids. Returns the
+    ids as uint32, which holds any index's ids, concatenated in list order,
+    and the index of each list's first id.
     """
     if data.size == 0:
-        return np.zeros(0, dtype=np.uint32)
+        return np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.intp)
     ids, ends = varint.decode_with_ends(data, np.uint32)
     # one running sum over all lists: each list's first entry, its id
     # itself, has the previous list's last id taken off (modulo 2**32).
@@ -426,42 +461,131 @@ def _decode_postings(data: np.ndarray, lens: np.ndarray) -> np.ndarray:
     firsts = np.searchsorted(ends, np.cumsum(lens, dtype=np.int64) - lens)
     lasts = np.add.reduceat(ids, firsts, dtype=np.uint32)[:-1]
     ids[firsts[1:]] -= lasts
-    return np.cumsum(ids, dtype=np.uint32, out=ids)
+    if heads:
+        # the running sum carries a step on to every later list, so each
+        # shard's first list takes only the step from the previous base
+        ids[firsts[heads]] += np.array(steps, dtype=np.uint32)
+    return np.cumsum(ids, dtype=np.uint32, out=ids), firsts
 
 
-def candidate_filter(
-    shard: ShardDescriptor, geometry: SubCodeGeometry, spec: QuerySpec
-) -> np.ndarray:
-    """Pigeonhole candidate generation for one shard.
+def _group(shards) -> tuple:
+    """(shards, bases) for one ShardDescriptor or a group of consecutive
+    shards. Group id bases[k] + j is local id j of shards[k]; bases has one
+    entry more, the group's doc count. One shard's group ids are its local
+    ids."""
+    group = (shards,) if isinstance(shards, ShardDescriptor) else tuple(shards)
+    if len(group) == 1:
+        return group, [0, group[0].doc_count]
+    return group, list(itertools.accumulate((s.doc_count for s in group), initial=0))
 
-    Fetches the postings list for each of the query's s sub-code terms and
-    keeps local docs appearing in at least s - radius of them. Absent terms
-    count as empty lists. Returns the surviving local ids as a sorted,
-    unique uint32 array, the input verify takes. Requires s - radius >= 1;
-    callers bypass the filter entirely otherwise.
+
+def _split(group, bases, ids) -> list:
+    """(shard, its local ids) for each shard of a group that sorted group
+    ids fall into, in shard order."""
+    if len(group) == 1:
+        return [(group[0], ids)]
+    cuts = np.searchsorted(ids, bases).tolist()
+    return [
+        (shard, ids[a:b] - base)
+        for shard, base, a, b in zip(group, bases, cuts, cuts[1:])
+        if a < b
+    ]
+
+
+def _group_bounds(doc_counts, geometry: SubCodeGeometry) -> list:
+    """Split shards with these doc counts into the consecutive groups
+    [lo, hi) that a query filters and verifies in one pass each. A shard
+    joins the group before it while the postings ids a query is expected to
+    decode from that group, doc_count * s / 2**sub_width per shard for
+    uniform sub-codes, stay within FILTER_GROUP_IDS."""
+    per_doc = geometry.subcode_count / 2**geometry.sub_width
+    bounds, lo, expected = [], 0, 0.0
+    for k, count in enumerate(doc_counts):
+        if k > lo and expected + count * per_doc > FILTER_GROUP_IDS:
+            bounds.append((lo, k))
+            lo, expected = k, 0.0
+        expected += count * per_doc
+    bounds.append((lo, len(doc_counts)))
+    return bounds
+
+
+def _postings_fault(group, chunks) -> QueryError:
+    """The error naming the first shard whose postings bytes do not decode
+    on their own, for a group whose joined bytes failed to decode."""
+    for shard, chunk in zip(group, chunks):
+        try:
+            varint.decode_with_ends(np.frombuffer(chunk, dtype=np.uint8), np.uint32)
+        except varint.VarintError as exc:
+            return QueryError(f"corrupt postings in shard {shard.shard_index}: {exc}")
+    names = ", ".join(str(shard.shard_index) for shard in group)
+    return QueryError(f"corrupt postings in shards {names}")
+
+
+def _decode_group(group, bases, chunks, data, lens) -> tuple:
+    """Decode the postings bytes of a group of two or more shards, joined
+    as data, into group ids. Returns the ids and the indexes of the shards
+    whose ids fall outside [bases[k], bases[k + 1])."""
+    # a shard's bytes that end inside a varint would run on into the next
+    # shard's lists
+    if any(chunk[-1] >= 128 for chunk in chunks if chunk):
+        raise _postings_fault(group, chunks)
+    # the shards that have lists, the index of each one's first list, and
+    # the step from the base of the one before it (base 0 for the first)
+    owners = [k for k, shard_lens in enumerate(lens) if shard_lens.size]
+    heads = list(itertools.accumulate([lens[k].size for k in owners[:-1]], initial=0))
+    steps = [bases[k] - bases[j] for j, k in zip([0] + owners, owners)]
+    try:
+        ids, firsts = _decode_postings(data, np.concatenate(lens), heads, steps)
+    except varint.VarintError as exc:
+        raise _postings_fault(group, chunks) from exc
+    if not owners:
+        return ids, []
+    segments = firsts[heads]
+    lo = np.array([bases[k] for k in owners], dtype=np.uint32)
+    hi = np.array([bases[k + 1] for k in owners], dtype=np.uint32)
+    bad = (np.minimum.reduceat(ids, segments) < lo) | (np.maximum.reduceat(ids, segments) >= hi)
+    return ids, [owners[i] for i in np.flatnonzero(bad).tolist()]
+
+
+def candidate_filter(shards, geometry: SubCodeGeometry, spec: QuerySpec) -> np.ndarray:
+    """Pigeonhole candidate generation for one shard or a group of shards.
+
+    Fetches each shard's postings list for each of the query's s sub-code
+    terms and keeps docs appearing in at least s - radius of them. Absent
+    terms count as empty lists. Returns the surviving group ids (see
+    `_group`; one shard's are its local ids) as a sorted, unique uint32
+    array, the input verify takes. Requires s - radius >= 1; callers bypass
+    the filter entirely otherwise.
     """
     threshold = geometry.subcode_count - spec.radius
     if threshold < 1:
         raise ValueError("candidate_filter requires s - radius >= 1; bypass instead")
+    group, bases = _group(shards)
     sw = geometry.sub_width
     values = spec.query.words.view(f"<u{sw // 8}")
-    # offsets ascend by construction: the build lays lists out in
-    # (position, value) order and the query takes one value per position
-    offs, lens = shard._terms.lookup(_term_keys(np.arange(values.size), values, sw))
-    chunks = [
-        _pread_exact(shard._pst_fd, ln, off, shard, "postings")
-        for off, ln in zip(offs.tolist(), lens.tolist())
-    ]
+    keys = _term_keys(np.arange(values.size), values, sw)
+    chunks = []
+    lens = []
+    for shard in group:
+        # offsets ascend by construction: the build lays lists out in
+        # (position, value) order and the query takes one value per position
+        offs, shard_lens = shard._terms.lookup(keys)
+        chunks.append(_pread_spans(
+            shard, shard._pst_fd, offs.tolist(), shard_lens.tolist(), "postings"
+        ))
+        lens.append(shard_lens)
     data = np.frombuffer(b"".join(chunks), dtype=np.uint8)
-    try:
-        ids = _decode_postings(data, lens)
-    except varint.VarintError as exc:
+    if len(group) == 1:
+        try:
+            ids, _ = _decode_postings(data, lens[0], [], [])
+        except varint.VarintError as exc:
+            raise _postings_fault(group, chunks) from exc
+        bad = [0] if ids.size and int(ids.max()) >= bases[1] else []
+    else:
+        ids, bad = _decode_group(group, bases, chunks, data, lens)
+    if bad:
         raise QueryError(
-            f"corrupt postings in shard {shard.shard_index}: {exc}"
-        ) from exc
-    if ids.size and int(ids.max()) >= shard.doc_count:
-        raise QueryError(
-            f"corrupt postings in shard {shard.shard_index}: doc id out of range"
+            f"corrupt postings in shard {group[bad[0]].shard_index}: doc id out of range"
         )
     # each list holds a doc at most once, so a doc in L lists sorts into a
     # run of L equal ids; when L >= threshold, L - threshold + 1 of them
@@ -481,9 +605,10 @@ def _read_forward_rows(shard, words, firsts, counts):
     joined back to back and returned as a read-only (rows, words) view.
     """
     code_bytes = words * 8
-    data = b"".join(
-        _pread_exact(shard._fwd_fd, n * code_bytes, first * code_bytes, shard, "forward")
-        for first, n in zip(firsts, counts)
+    data = _pread_spans(
+        shard, shard._fwd_fd,
+        [first * code_bytes for first in firsts], [n * code_bytes for n in counts],
+        "forward",
     )
     return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
@@ -504,37 +629,36 @@ def _forward_blocks(shard, words, first, end):
 
 
 def _candidate_rows(shard, words, local_ids):
-    """Yield (local ids, their codes) for sorted unique local ids, in batches
-    of at most SCAN_BLOCK_BYTES of codes.
+    """The codes of sorted unique local ids, at least one and at most
+    SCAN_BLOCK_BYTES of codes, as a (ids, words) array.
 
-    A batch whose runs of consecutive ids lie far apart is read run by run.
-    A dense batch streams the rows it spans block by block instead and picks
-    its own rows out of each block, so that the kernel runs once per batch.
-    A block of a dense batch may hold none of its rows; the rows such gaps
-    add to the read are within the DENSE_RUN_GAP_BYTES per run that made
-    the batch dense.
+    Ids whose runs of consecutive ids lie far apart are read run by run.
+    Dense ids stream the rows they span block by block instead and pick
+    their own rows out of each block. A block may hold none of them; the
+    rows such gaps add to the read are within the DENSE_RUN_GAP_BYTES per
+    run that made the ids dense.
     """
     code_bytes = words * 8
-    rows_per_block = max(1, SCAN_BLOCK_BYTES // code_bytes)
-    for lo in range(0, local_ids.size, rows_per_block):
-        batch = local_ids[lo : lo + rows_per_block]
-        new_run = np.ones(batch.size, dtype=bool)
-        np.not_equal(np.diff(batch), 1, out=new_run[1:])
-        first, end = int(batch[0]), int(batch[-1]) + 1
-        runs = np.count_nonzero(new_run)
-        if runs * DENSE_RUN_GAP_BYTES < (end - first) * code_bytes:
-            run_starts = np.flatnonzero(new_run)
-            run_counts = np.diff(np.append(run_starts, batch.size))
-            yield batch, _read_forward_rows(
-                shard, words, batch[run_starts].tolist(), run_counts.tolist()
-            )
-            continue
-        rows = np.empty((batch.size, words), dtype=np.uint64)
-        for base, block in _forward_blocks(shard, words, first, end):
-            b_lo, b_hi = np.searchsorted(batch, (base, base + block.shape[0]))
-            np.take(block, batch[b_lo:b_hi] - base, axis=0, out=rows[b_lo:b_hi])
-            del block  # see _forward_blocks
-        yield batch, rows
+    new_run = np.ones(local_ids.size, dtype=bool)
+    np.not_equal(np.diff(local_ids), 1, out=new_run[1:])
+    first, end = int(local_ids[0]), int(local_ids[-1]) + 1
+    runs = np.count_nonzero(new_run)
+    if runs * DENSE_RUN_GAP_BYTES < (end - first) * code_bytes:
+        run_starts = np.flatnonzero(new_run)
+        run_counts = np.diff(np.append(run_starts, local_ids.size))
+        return _read_forward_rows(
+            shard, words, local_ids[run_starts].tolist(), run_counts.tolist()
+        )
+    rows = np.empty((local_ids.size, words), dtype=np.uint64)
+    for base, block in _forward_blocks(shard, words, first, end):
+        b_lo, b_hi = np.searchsorted(local_ids, (base, base + block.shape[0]))
+        np.take(block, local_ids[b_lo:b_hi] - base, axis=0, out=rows[b_lo:b_hi])
+        del block  # see _forward_blocks
+    return rows
+
+
+def _joined(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _neighbors(hit_ids: list, hit_dists: list) -> NeighborSet:
@@ -545,25 +669,30 @@ def _neighbors(hit_ids: list, hit_dists: list) -> NeighborSet:
     return NeighborSet(np.concatenate(hit_ids), np.concatenate(hit_dists))
 
 
-def verify(
-    shard: ShardDescriptor, candidates: np.ndarray, spec: QuerySpec
-) -> NeighborSet:
-    """Exact-distance verification of filter candidates for one shard.
+def verify(shards, candidates: np.ndarray, spec: QuerySpec) -> NeighborSet:
+    """Exact-distance verification of filter candidates for one shard or a
+    group of shards.
 
-    candidates are local ids, sorted and unique, as the uint32 array that
-    candidate_filter returns. Reads their codes from the forward file, one
-    pread per run of consecutive local ids unless the runs are dense, and
-    returns surviving entries with global DocIds. Candidates are processed
-    in bounded batches so a permissive filter cannot blow up resident
-    memory.
+    candidates are group ids (see `_group`), sorted and unique, as the
+    uint32 array that candidate_filter returns. Reads their codes from each
+    shard's forward file, one pread per run of consecutive local ids unless
+    the runs are dense, and returns surviving entries with global DocIds.
+    Candidates are processed in batches of at most SCAN_BLOCK_BYTES of
+    codes, one kernel call per batch whatever shards it spans, so a
+    permissive filter cannot blow up resident memory.
     """
+    group, bases = _group(shards)
+    words = spec.query.words.size
+    rows_per_block = max(1, SCAN_BLOCK_BYTES // (words * 8))
     hit_ids = []
     hit_dists = []
-    for local_ids, codes in _candidate_rows(shard, spec.query.words.size, candidates):
+    for lo in range(0, candidates.size, rows_per_block):
+        parts = _split(group, bases, candidates[lo : lo + rows_per_block])
+        codes = _joined([_candidate_rows(shard, words, ids) for shard, ids in parts])
         dist = hamming_distances(codes, spec.query.words)
         keep = np.flatnonzero(dist <= spec.radius)
         if keep.size:
-            hit_ids.append(shard.local_to_global(local_ids[keep]))
+            hit_ids.append(_joined([shard.local_to_global(ids) for shard, ids in parts])[keep])
             hit_dists.append(dist[keep])
     return _neighbors(hit_ids, hit_dists)
 
@@ -584,25 +713,33 @@ def _scan_shard(shard: ShardDescriptor, spec: QuerySpec) -> NeighborSet:
 
 
 def subcode_range_search(manifest: SubCodeIndexManifest, spec: QuerySpec) -> NeighborSet:
-    """Exact radius query: filter + verify per shard, or a streamed scan of
-    every shard when s - radius <= 0; shard results are merged by DocId."""
+    """Exact radius query: filter + verify per group of shards, or a
+    streamed scan of every shard when s - radius <= 0; the parts are merged
+    by DocId."""
     if spec.query.width_bits != manifest.geometry.width_bits:
         raise ValueError(
             f"query width {spec.query.width_bits} does not match index "
             f"width {manifest.geometry.width_bits}"
         )
     geometry = manifest.geometry
-    parts = []
-    if filter_bypassed(geometry, spec.radius):
-        for shard in manifest.shards:
-            parts.append(_scan_shard(shard, spec))
-    else:
-        # shards are processed one at a time: filter working sets stay
-        # bounded to a single shard, and on CPython a thread per shard only
-        # adds lock traffic around these small kernels
-        for shard in manifest.shards:
-            candidates = candidate_filter(shard, geometry, spec)
-            parts.append(verify(shard, candidates, spec))
+    if not manifest._queries.enter():
+        raise QueryError(f"query on {manifest.directory}: the index is closed")
+    try:
+        if filter_bypassed(geometry, spec.radius):
+            parts = [_scan_shard(shard, spec) for shard in manifest.shards]
+        else:
+            # one pass per group, one group at a time: a pass is expected to
+            # decode at most FILTER_GROUP_IDS ids, and on CPython a thread
+            # per group would only add lock traffic around these small kernels
+            parts = [
+                verify(group, candidate_filter(group, geometry, spec), spec)
+                for group in manifest.groups
+            ]
+    finally:
+        if manifest._queries.leave():
+            manifest._close_shards()
+    if len(parts) == 1:
+        return parts[0]
     return _neighbors([p.ids for p in parts], [p.distances for p in parts])
 
 
@@ -613,5 +750,11 @@ def read_code(manifest: SubCodeIndexManifest, doc_id: int) -> BinaryCode:
     shard = manifest.shards[doc_id % manifest.shard_count]
     local = doc_id // manifest.shard_count
     words = manifest.geometry.width_bits // 64
-    row = _read_forward_rows(shard, words, [local], [1])[0]
+    if not manifest._queries.enter():
+        raise QueryError(f"read of doc {doc_id} in {manifest.directory}: the index is closed")
+    try:
+        row = _read_forward_rows(shard, words, [local], [1])[0]
+    finally:
+        if manifest._queries.leave():
+            manifest._close_shards()
     return BinaryCode(manifest.geometry.width_bits, row.copy())

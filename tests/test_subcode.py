@@ -1,6 +1,9 @@
 import errno
 import os
+import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -32,8 +35,10 @@ from hamsearch import (
 from hamsearch import subcode, varint
 from hamsearch.subcode import (
     COMPLETE_NAME,
+    FILTER_GROUP_IDS,
     MANIFEST_NAME,
     SubCodeGeometry,
+    _group_bounds,
     _shard_doc_count,
     _shard_paths,
 )
@@ -60,6 +65,18 @@ def test_plan_geometry_rejects_bad_widths():
 def test_plan_geometry_rejects_widths_not_multiple_of_64(width):
     with pytest.raises(ValueError, match="multiple of 64"):
         plan_geometry(width, 8)
+
+
+def test_groups_from_doc_counts_on_the_benchmark_geometries():
+    # filter-m256-r15: 12.5k expected ids a shard, so a group each
+    assert _group_bounds([100_000] * 5, plan_geometry(256, 8)) == [(k, k + 1) for k in range(5)]
+    # filter-m64-sw16-r3: 24 expected ids a shard, so one group
+    assert _group_bounds([400_000] * 5, plan_geometry(64, 16)) == [(0, 5)]
+    # acceptance 3's m=64, sw=8 index: 12.5k expected ids a shard
+    assert _group_bounds([400_000] * 5, plan_geometry(64, 8)) == [(k, k + 1) for k in range(5)]
+    # up to 268M codes at m=64, sw=16 make one group, empty shards join any
+    assert _group_bounds([2**28 // 5] * 5 + [0], plan_geometry(64, 16)) == [(0, 6)]
+    assert _group_bounds([0, 100_000, 0, 100_000], plan_geometry(256, 8)) == [(0, 3), (3, 4)]
 
 
 def test_shard_doc_counts_balanced():
@@ -189,6 +206,35 @@ def test_corrupt_postings_detected_at_query(tmp_path):
     with pytest.raises(QueryError, match="shard 0"):
         subcode_range_search(manifest, QuerySpec(ds.code(0), 1))
     manifest.close()
+
+
+
+def test_group_postings_id_in_the_next_shards_range_is_refused(tmp_path):
+    # shard 0's ids must stay in shard 0's part of the group's ids: one that
+    # lands in shard 1's part would otherwise verify shard 1's row
+    ds = random_dataset(200, 64, seed=75)
+    geometry = plan_geometry(64, 16)
+    subcode_build(ds, geometry, 2, tmp_path / "idx").close()
+    pst = _shard_paths(tmp_path / "idx", 0)[1]
+    manifest = subcode_open(tmp_path / "idx")
+    shard = manifest.shards[0]
+    assert manifest.groups == [tuple(manifest.shards)] and shard.doc_count == 100
+    # a list of one 1-byte id: that id is a local id below 100
+    ends = shard._terms.ends.astype(np.int64)
+    j = int(np.flatnonzero(np.diff(ends) == 1)[0])
+    raw = bytearray(pst.read_bytes())
+    local = raw[ends[j]]
+    key = shard._terms.keys[j : j + 1].view(subcode._key_dtype(16))[0]
+    query = ds.code(2 * local)  # global id of shard 0's local id
+    assert int(query.words.view("<u2")[key["position"]]) == key["value"]
+    spec = QuerySpec(query, 3)
+    assert subcode_range_search(manifest, spec) == range_search_oracle(ds, spec)
+    manifest.close()
+    raw[ends[j]] = 120  # group id 120 is shard 1's local id 20
+    pst.write_bytes(bytes(raw))
+    with subcode_open(tmp_path / "idx") as manifest:
+        with pytest.raises(QueryError, match="shard 0: doc id out of range"):
+            subcode_range_search(manifest, spec)
 
 
 # --- open -------------------------------------------------------------------
@@ -768,6 +814,110 @@ def test_both_backends_equal_oracle(data):
         assert flat_range_search(index, spec) == truth
 
 
+
+def _merged(parts) -> NeighborSet:
+    return NeighborSet(np.concatenate([p.ids for p in parts]),
+                       np.concatenate([p.distances for p in parts]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_group_pass_equals_its_shards_passes(data):
+    width = data.draw(st.sampled_from([64, 128]), label="width")
+    sub_width = data.draw(st.sampled_from([8, 16]), label="sub_width")
+    shard_count = data.draw(st.integers(1, 7), label="shard_count")
+    # small counts leave shards empty
+    count = data.draw(st.one_of(st.integers(0, 7), st.integers(8, 300)), label="count")
+    clusters = data.draw(st.sampled_from([0, 3]), label="clusters")
+    ds = random_dataset(count, width, seed=data.draw(st.integers(0, 2**16)),
+                        cluster_count=clusters, flip_probability=0.05 if clusters else 0.0)
+    geometry = plan_geometry(width, sub_width)
+    radius = data.draw(st.integers(0, geometry.subcode_count - 1), label="radius")
+    words = width // 64
+    query = data.draw(
+        st.lists(st.integers(0, 2**64 - 1), min_size=words, max_size=words).map(
+            lambda w: BinaryCode(width, np.array(w, dtype=np.uint64)))
+        if count == 0 else _queries(ds),
+        label="query",
+    )
+    spec = QuerySpec(query, radius)
+    # any split into consecutive groups, and one plan per group bound
+    cuts = data.draw(st.lists(st.booleans(), min_size=shard_count - 1,
+                              max_size=shard_count - 1), label="cuts")
+    bounds = [0] + [k for k, cut in enumerate(cuts, 1) if cut] + [shard_count]
+    group_ids = data.draw(st.sampled_from([0, 20, FILTER_GROUP_IDS]), label="group_ids")
+    block_rows = data.draw(st.integers(1, 9), label="block_rows")
+    truth = range_search_oracle(ds, spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        with mock.patch.object(subcode, "FILTER_GROUP_IDS", group_ids):
+            manifest = subcode_build(ds, geometry, shard_count, tmp)
+        with manifest, mock.patch.object(subcode, "SCAN_BLOCK_BYTES", block_rows * width // 8):
+            parts = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                group = manifest.shards[lo:hi]
+                bases = np.cumsum([0] + [shard.doc_count for shard in group])
+                local = [candidate_filter(shard, geometry, spec) for shard in group]
+                candidates = candidate_filter(group, geometry, spec)
+                assert candidates.dtype == np.uint32
+                assert np.array_equal(
+                    candidates, np.concatenate([ids + base for ids, base in zip(local, bases)]))
+                got = verify(group, candidates, spec)
+                assert got == _merged([verify(sh, ids, spec) for sh, ids in zip(group, local)])
+                parts.append(got)
+            assert _merged(parts) == truth
+            assert subcode_range_search(manifest, spec) == truth
+
+
+@pytest.mark.parametrize("backend", ["subcode", "flat"])
+def test_closing_an_index_under_live_queries_never_answers_wrong(tmp_path, backend):
+    # one thread queries index A while the main thread closes A and opens
+    # index B, whose files take the descriptor numbers A's close frees
+    ds = random_dataset(20_000, 64, seed=76, cluster_count=50, flip_probability=0.05)
+    other = random_dataset(20_000, 64, seed=77, cluster_count=50, flip_probability=0.05)
+    geometry = plan_geometry(64, 8)  # s=8: r < 8 filters, r = 8 bypasses
+    subcode_build(ds, geometry, 3, tmp_path / "a").close()
+    subcode_build(other, geometry, 3, tmp_path / "b").close()
+    specs = [QuerySpec(ds.code(i), r) for i in (1, 4321, 12345) for r in (2, 5, 8)]
+    truths = [range_search_oracle(ds, spec) for spec in specs]
+    if backend == "subcode":
+        open_index, search = (lambda: subcode_open(tmp_path / "a")), subcode_range_search
+    else:
+        open_index, search = (lambda: flat_build(ds, workers=3)), flat_range_search
+    outcomes = {"exact": 0, "refused": 0, "wrong": 0}
+    errors = []
+
+    def client(index):
+        for spec, truth in zip(specs, truths):
+            try:
+                outcome = "exact" if search(index, spec) == truth else "wrong"
+            except QueryError:
+                outcome = "refused"
+            except Exception as exc:  # anything else fails the test below
+                errors.append(exc)
+                return
+            outcomes[outcome] += 1
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 4
+        while time.monotonic() < deadline and not errors:
+            index = open_index()
+            thread = threading.Thread(target=client, args=(index,))
+            thread.start()
+            time.sleep(0.002)
+            index.close()
+            with subcode_open(tmp_path / "b"):
+                thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert outcomes["wrong"] == 0 and outcomes["exact"] > 0
+    if backend == "flat":  # a closed flat index answers on the calling thread
+        assert outcomes["refused"] == 0
+
+
 # --- result ordering ---------------------------------------------------------------
 
 def test_a_query_sorts_only_to_merge_shards(tmp_path, monkeypatch):
@@ -814,6 +964,9 @@ def test_benchmark_tracer_reaches_every_traced_name(tmp_path, monkeypatch):
     manifest = subcode_build(ds, geometry, 3, tmp_path / "idx")
     filter_spec = QuerySpec(ds.code(11), 3)
     candidates = sum(len(candidate_filter(sh, geometry, filter_spec)) for sh in manifest.shards)
+    # 1000 codes a shard at s=8, sw=8 make one group: one filter and one
+    # verify call per query
+    assert manifest.groups == [tuple(manifest.shards)]
     tracer = Tracer()
     with tracer:
         hits = subcode_range_search(manifest, filter_spec)
@@ -825,9 +978,9 @@ def test_benchmark_tracer_reaches_every_traced_name(tmp_path, monkeypatch):
     manifest.close()
 
     assert tracer.missing == []
-    assert filtered["subcode.candidate_filter"].calls == 3
+    assert filtered["subcode.candidate_filter"].calls == 1
     assert filtered["subcode.candidate_filter"].items == candidates > 0
-    assert filtered["subcode.verify"].calls == 3
+    assert filtered["subcode.verify"].calls == 1
     assert filtered["subcode.verify"].items == len(hits) > 0
     assert filtered["subcode.scan_shard"].calls == 0
     assert scanned["subcode.scan_shard"].calls == 3
