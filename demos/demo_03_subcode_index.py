@@ -38,10 +38,13 @@ for path in sorted(tmp.iterdir()):
 # sub-codes, so docs matching fewer than s - r of the query's terms are
 # safely skipped; survivors get exact verification.
 query = QuerySpec(dataset.code(4242), radius=3)
+cands = candidate_filter(manifest, query)
+print(f"{len(cands)} candidates of {manifest.dataset_count} docs after filtering")
+# each shard holds one contiguous range of DocIds
 for shard in manifest.shards:
-    cands = candidate_filter(shard, geometry, query)
-    print(f"shard {shard.shard_index}: {shard.doc_count} docs, "
-          f"{len(cands)} candidates after filtering")
+    end = shard.start + shard.doc_count
+    in_shard = np.count_nonzero((cands >= shard.start) & (cands < end))
+    print(f"shard {shard.shard_index}: docs [{shard.start}, {end}), {in_shard} candidates")
 
 result = subcode_range_search(manifest, query)
 assert result == range_search_oracle(dataset, query)

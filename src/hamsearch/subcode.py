@@ -1,21 +1,19 @@
 """Secondary-memory backend: codes decomposed into fixed-width sub-codes and
 indexed as (position, value) terms in on-disk postings lists across shards.
 
-Queries run in two phases over groups of consecutive shards. Open splits the
-shards into groups whose postings a query is expected to decode a bounded
-number of ids from (FILTER_GROUP_IDS): many small shards share one group, a
-large shard is a group of its own. Within a group, shard k's local id j is
-group id base_k + j, base_k being the doc count of the shards before it. A
-pigeonhole filter first fetches every shard's postings list for each of the
-query's s sub-codes, decodes them all at once into group ids, and keeps
+Shard k of S holds the DocIds [k * c, min((k + 1) * c, n)) of n codes, for
+c = ceil(n / S), so only trailing shards may be empty. Its local id j, a
+forward-file row and a postings id, is DocId k * c + j.
+
+A query runs in two phases over the whole index. candidate_filter fetches
+every shard's postings list for each of the query's s sub-codes and keeps
 documents matching at least s - r of them: a code within Hamming distance r
-can disagree with the query on at most r sub-codes. The filter hands on the
-surviving group ids as a sorted, unique uint32 array, and verify checks them
-against exact distances read from the shards' forward files, one kernel call
-for the group. When s - r <= 0 the bound is vacuous and the query degrades
-to a streamed scan of each shard's forward file. Verify and the scan each
-return a NeighborSet of global DocIds, and the query merges one per group
-or shard.
+can disagree with the query on at most r sub-codes. It decodes one group of
+consecutive shards at a time (see FILTER_GROUP_IDS) and returns the
+survivors as sorted DocIds, which verify checks against exact distances
+read from the forward files. When s - r <= 0 the bound is vacuous and the
+query degrades to a streamed scan of each shard's forward file. Shards
+follow DocId order, so every result comes out ascending without a sort.
 
 Index directory layout (all integers little-endian):
   manifest      magic HSI1, version u32, width_bits u32, sub_width u32,
@@ -61,7 +59,7 @@ from .core import (
 )
 
 MANIFEST_MAGIC = b"HSI1"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 MANIFEST_NAME = "manifest"
 COMPLETE_NAME = "COMPLETE"
 _MANIFEST = struct.Struct("<4sIIIII")
@@ -78,7 +76,7 @@ SCAN_BLOCK_BYTES = 1 << 20
 # 1.2 us, the time a 1 MiB pread spends on 4 KiB.
 DENSE_RUN_GAP_BYTES = 4096
 
-# a query filters and verifies consecutive shards in one pass while it is
+# the filter decodes consecutive shards in one pass while a query is
 # expected to decode at most this many postings ids from them (see
 # _group_bounds): 64 KiB of uint32 ids, a few of the pass's arrays of that
 # size staying well under glibc's heap trim threshold
@@ -197,19 +195,16 @@ def _open_term_table(trm_path: Path, pst_path: Path, geometry: SubCodeGeometry) 
 class ShardDescriptor:
     """One horizontal partition: forward file, term table, postings list file.
 
-    Local doc id j maps to global DocId j * shard_count + shard_index
-    (round-robin assignment).
+    The shard holds the DocIds [start, start + doc_count); its local id j
+    is DocId start + j.
     """
 
     shard_index: int
-    shard_count: int
+    start: int
     doc_count: int
     _terms: _TermTable = field(default=None, repr=False)
     _pst_fd: int = field(default=-1, repr=False)
     _fwd_fd: int = field(default=-1, repr=False)
-
-    def local_to_global(self, local_ids: np.ndarray) -> np.ndarray:
-        return local_ids * self.shard_count + self.shard_index
 
     def close(self):
         for attr in ("_pst_fd", "_fwd_fd"):
@@ -223,8 +218,8 @@ class ShardDescriptor:
 class SubCodeIndexManifest:
     """Handle to an opened on-disk index; immutable and query-shareable.
 
-    groups splits shards into the consecutive groups that a filtered query
-    passes over one at a time (see `_group_bounds`).
+    _groups splits shards into the consecutive groups that the filter
+    decodes one at a time (see `_group_bounds`).
     """
 
     geometry: SubCodeGeometry
@@ -232,13 +227,31 @@ class SubCodeIndexManifest:
     dataset_count: int
     directory: Path
     shards: list
-    groups: list
+    _groups: list = field(repr=False)
     _queries: _InFlight = field(default_factory=_InFlight, init=False, repr=False)
 
     def close(self):
         """Refuse new queries with QueryError, and close the shards' files
         once no query is reading them; safe to call twice."""
         if self._queries.close():
+            self._close_shards()
+
+    def _enter(self, what: str, spec: QuerySpec = None):
+        """Count a reader in, or raise QueryError once the index is closed;
+        a caller that gets past this must call _leave when done. A query
+        spec of another width than the index raises ValueError first."""
+        if spec is not None and spec.query.width_bits != self.geometry.width_bits:
+            raise ValueError(
+                f"query width {spec.query.width_bits} does not match index "
+                f"width {self.geometry.width_bits}"
+            )
+        if not self._queries.enter():
+            raise QueryError(f"{what} on {self.directory}: the index is closed")
+
+    def _leave(self):
+        """Count a reader out; the last one out of a closed index closes
+        its files."""
+        if self._queries.leave():
             self._close_shards()
 
     def _close_shards(self):
@@ -259,10 +272,12 @@ class SubCodeIndexManifest:
         )
 
 
-def _shard_doc_count(dataset_count: int, shard_index: int, shard_count: int) -> int:
-    if dataset_count <= shard_index:
-        return 0
-    return (dataset_count - shard_index + shard_count - 1) // shard_count
+def _shard_ranges(dataset_count: int, shard_count: int) -> list:
+    """(start, doc_count) of each shard: the DocId ranges tile [0, n) in
+    shard order, shard k starting at k * ceil(n / S)."""
+    per_shard = -(-dataset_count // shard_count)
+    starts = [min(k * per_shard, dataset_count) for k in range(shard_count + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(starts, starts[1:])]
 
 
 def _shard_paths(directory: Path, k: int):
@@ -281,9 +296,9 @@ def subcode_build(
 ) -> SubCodeIndexManifest:
     """Build a complete on-disk index and return it opened for query.
 
-    Docs are assigned to shards round-robin by DocId. All files are written
-    before the COMPLETE marker, so an interrupted build leaves a directory
-    that subcode_open refuses.
+    Each shard takes one contiguous range of DocIds (see `_shard_ranges`).
+    All files are written before the COMPLETE marker, so an interrupted
+    build leaves a directory that subcode_open refuses.
     """
     global BUILD_CALLS
     BUILD_CALLS += 1
@@ -302,8 +317,10 @@ def subcode_build(
         marker = directory / COMPLETE_NAME
         if marker.exists():
             marker.unlink()
-        for k in range(shard_count):
-            _build_shard(dataset, geometry, k, shard_count, directory)
+        for k, (start, doc_count) in enumerate(_shard_ranges(dataset.count, shard_count)):
+            # a slice of whole rows of the C-ordered codes is contiguous
+            _build_shard(dataset.codes[start : start + doc_count], geometry,
+                         _shard_paths(directory, k))
         with open(directory / MANIFEST_NAME, "wb") as f:
             f.write(
                 _MANIFEST.pack(
@@ -321,9 +338,8 @@ def subcode_build(
     return subcode_open(directory)
 
 
-def _build_shard(dataset, geometry, k, shard_count, directory):
-    trm_path, pst_path, fwd_path = _shard_paths(directory, k)
-    rows = np.ascontiguousarray(dataset.codes[k::shard_count])
+def _build_shard(rows, geometry, paths):
+    trm_path, pst_path, fwd_path = paths
     n = rows.shape[0]
     with open(fwd_path, "wb") as f:
         f.write(rows)
@@ -334,7 +350,8 @@ def _build_shard(dataset, geometry, k, shard_count, directory):
     postings_parts = []
     for p in range(geometry.subcode_count if n else 0):
         col = np.ascontiguousarray(sub[:, p])
-        order = np.argsort(col, kind="stable").astype(np.uint64)
+        # the ids are non-negative, so their int64 bits read as uint64
+        order = np.argsort(col, kind="stable").view(np.uint64)
         sorted_vals = col[order]
         is_start = np.empty(n, dtype=bool)
         is_start[0] = True
@@ -344,11 +361,15 @@ def _build_shard(dataset, geometry, k, shard_count, directory):
         deltas = np.empty(n, dtype=np.uint64)
         deltas[1:] = order[1:] - order[:-1]  # wraps across groups; fixed below
         deltas[starts] = order[starts]
-        postings_parts.append(varint.encode(deltas))
+        encoded = varint.encode(deltas)
+        del deltas  # before the next n-row array: 2 MiB off a 2M-code m=64 build's peak
+        # a list ends one byte after the terminator, a byte below 128, of
+        # its last id
+        last_ids = np.append(starts[1:], n) - 1
+        ends = np.flatnonzero(encoded < 128)[last_ids] + 1
+        postings_parts.append(encoded)
         key_parts.append(_term_keys(p, sorted_vals[starts], geometry.sub_width))
-        length_parts.append(
-            np.add.reduceat(varint.byte_lengths(deltas), starts).astype("<u4")
-        )
+        length_parts.append(np.diff(ends, prepend=0).astype("<u4"))
 
     with open(trm_path, "wb") as f:
         for part in key_parts + length_parts:
@@ -387,10 +408,9 @@ def subcode_open(directory) -> SubCodeIndexManifest:
     code_bytes = width_bits // 8
     shards = []
     try:
-        for k in range(shard_count):
+        for k, (start, doc_count) in enumerate(_shard_ranges(dataset_count, shard_count)):
             trm_path, pst_path, fwd_path = _shard_paths(directory, k)
-            doc_count = _shard_doc_count(dataset_count, k, shard_count)
-            shard = ShardDescriptor(k, shard_count, doc_count)
+            shard = ShardDescriptor(k, start, doc_count)
             # listed before its files are opened, so that the cleanup below
             # closes whatever descriptor an open that fails part way leaves
             shards.append(shard)
@@ -418,7 +438,7 @@ def subcode_open(directory) -> SubCodeIndexManifest:
         dataset_count=dataset_count,
         directory=directory,
         shards=shards,
-        groups=[
+        _groups=[
             tuple(shards[lo:hi])
             for lo, hi in _group_bounds([s.doc_count for s in shards], geometry)
         ],
@@ -468,37 +488,12 @@ def _decode_postings(data: np.ndarray, lens: np.ndarray, heads, steps) -> tuple:
     return np.cumsum(ids, dtype=np.uint32, out=ids), firsts
 
 
-def _group(shards) -> tuple:
-    """(shards, bases) for one ShardDescriptor or a group of consecutive
-    shards. Group id bases[k] + j is local id j of shards[k]; bases has one
-    entry more, the group's doc count. One shard's group ids are its local
-    ids."""
-    group = (shards,) if isinstance(shards, ShardDescriptor) else tuple(shards)
-    return group, [0, *itertools.accumulate(s.doc_count for s in group)]
-
-
-def _split(group, bases, ids) -> list:
-    """(shard, its local ids) for each shard of a group that sorted group
-    ids fall into, in shard order."""
-    # the general path gives the same for one shard; skipping its
-    # searchsorted and copy saved 2% of a 5-shard m=256, sw=8 r=15 query
-    # on a 2-vCPU VM
-    if len(group) == 1:
-        return [(group[0], ids)]
-    cuts = np.searchsorted(ids, bases).tolist()
-    return [
-        (shard, ids[a:b] - base)
-        for shard, base, a, b in zip(group, bases, cuts, cuts[1:])
-        if a < b
-    ]
-
-
 def _group_bounds(doc_counts, geometry: SubCodeGeometry) -> list:
     """Split shards with these doc counts into the consecutive groups
-    [lo, hi) that a query filters and verifies in one pass each. A shard
-    joins the group before it while the postings ids a query is expected to
-    decode from that group, doc_count * s / 2**sub_width per shard for
-    uniform sub-codes, stay within FILTER_GROUP_IDS.
+    [lo, hi) that the filter decodes in one pass each. A shard joins the
+    group before it while the postings ids a query is expected to decode
+    from that group, doc_count * s / 2**sub_width per shard for uniform
+    sub-codes, stay within FILTER_GROUP_IDS.
 
     Skewed sub-codes decode more than this expects: 206.8 ids a query
     against 122 expected on 2M clustered 64-bit codes at sub_width 16, a
@@ -528,10 +523,12 @@ def _postings_fault(group, chunks) -> QueryError:
     return QueryError(f"corrupt postings in shards {names}")
 
 
-def _decode_group(group, bases, chunks, data, lens) -> tuple:
+def _decode_group(group, chunks, data, lens) -> tuple:
     """Decode the postings bytes of a group of two or more shards, joined
-    as data, into group ids. Returns the ids and the indexes of the shards
+    as data, into ids offset from the group's first DocId: bases[k] + j for
+    local id j of group[k]. Returns the ids and the indexes of the shards
     whose ids fall outside [bases[k], bases[k + 1])."""
+    bases = [0, *itertools.accumulate(shard.doc_count for shard in group)]
     # a shard's bytes that end inside a varint would run on into the next
     # shard's lists
     if any(chunk[-1] >= 128 for chunk in chunks if chunk):
@@ -554,59 +551,70 @@ def _decode_group(group, bases, chunks, data, lens) -> tuple:
     return ids, [owners[i] for i in np.flatnonzero(bad).tolist()]
 
 
-def candidate_filter(shards, geometry: SubCodeGeometry, spec: QuerySpec) -> np.ndarray:
-    """Pigeonhole candidate generation for one shard or a group of shards.
+def candidate_filter(index: SubCodeIndexManifest, spec: QuerySpec) -> np.ndarray:
+    """Pigeonhole candidate generation over the whole index.
 
     Fetches each shard's postings list for each of the query's s sub-code
     terms and keeps docs appearing in at least s - radius of them. Absent
-    terms count as empty lists. Returns the surviving group ids (see
-    `_group`; one shard's are its local ids) as a sorted, unique uint32
-    array, the input verify takes. Requires s - radius >= 1; callers bypass
-    the filter entirely otherwise. A direct caller must not close the index
-    while this runs: only subcode_range_search and read_code hold it open.
+    terms count as empty lists. Returns the surviving DocIds as a sorted,
+    unique uint32 array, the input verify takes. Requires s - radius >= 1;
+    callers bypass the filter entirely otherwise. Raises QueryError on a
+    closed index.
     """
-    threshold = geometry.subcode_count - spec.radius
+    threshold = index.geometry.subcode_count - spec.radius
     if threshold < 1:
         raise ValueError("candidate_filter requires s - radius >= 1; bypass instead")
-    group, bases = _group(shards)
-    sw = geometry.sub_width
+    sw = index.geometry.sub_width
     values = spec.query.words.view(f"<u{sw // 8}")
     keys = _term_keys(np.arange(values.size), values, sw)
-    chunks = []
-    lens = []
-    for shard in group:
-        # offsets ascend by construction: the build lays lists out in
-        # (position, value) order and the query takes one value per position
-        offs, shard_lens = shard._terms.lookup(keys)
-        chunks.append(_pread_spans(
-            shard, shard._pst_fd, offs.tolist(), shard_lens.tolist(), "postings"
-        ))
-        lens.append(shard_lens)
-    data = np.frombuffer(b"".join(chunks), dtype=np.uint8)
-    # _decode_group gives the same ids and errors for one shard, but its
-    # step and per-shard range check cost 6% of a 5-shard m=256, sw=8
-    # r=15 query on a 2-vCPU VM, whose shards are a group each
-    if len(group) == 1:
-        try:
-            ids, _ = _decode_postings(data, lens[0], [], [])
-        except varint.VarintError as exc:
-            raise _postings_fault(group, chunks) from exc
-        bad = [0] if ids.size and int(ids.max()) >= bases[1] else []
-    else:
-        ids, bad = _decode_group(group, bases, chunks, data, lens)
-    if bad:
-        raise QueryError(
-            f"corrupt postings in shard {group[bad[0]].shard_index}: doc id out of range"
-        )
-    # each list holds a doc at most once, so a doc in L lists sorts into a
-    # run of L equal ids; when L >= threshold, L - threshold + 1 of them
-    # equal the id threshold - 1 places on
-    ids.sort()
-    span = max(ids.size - threshold + 1, 0)
-    hits = ids if threshold == 1 else ids[:span][ids[:span] == ids[threshold - 1 :]]
-    first = np.ones(hits.size, dtype=bool)
-    np.not_equal(hits[1:], hits[:-1], out=first[1:])
-    return hits[first]
+    parts = []
+    index._enter("candidate_filter", spec)
+    try:
+        # one group at a time, each expected to decode at most
+        # FILTER_GROUP_IDS ids; on CPython a thread per group would only add
+        # lock traffic around these small kernels
+        for group in index._groups:
+            chunks = []
+            lens = []
+            for shard in group:
+                # offsets ascend by construction: the build lays lists out
+                # in (position, value) order and the query takes one value
+                # per position
+                offs, shard_lens = shard._terms.lookup(keys)
+                chunks.append(_pread_spans(
+                    shard, shard._pst_fd, offs.tolist(), shard_lens.tolist(), "postings"
+                ))
+                lens.append(shard_lens)
+            data = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+            # _decode_group gives the same ids and errors for one shard, but
+            # its step and per-shard range check cost 6% of a 5-shard m=256,
+            # sw=8 r=15 query on a 2-vCPU VM, whose shards are a group each
+            if len(group) == 1:
+                try:
+                    ids, _ = _decode_postings(data, lens[0], [], [])
+                except varint.VarintError as exc:
+                    raise _postings_fault(group, chunks) from exc
+                bad = [0] if ids.size and int(ids.max()) >= group[0].doc_count else []
+            else:
+                ids, bad = _decode_group(group, chunks, data, lens)
+            if bad:
+                raise QueryError(
+                    f"corrupt postings in shard {group[bad[0]].shard_index}: "
+                    "doc id out of range"
+                )
+            # each list holds a doc at most once, so a doc in L lists sorts
+            # into a run of L equal ids; when L >= threshold, L - threshold
+            # + 1 of them equal the id threshold - 1 places on
+            ids.sort()
+            span = max(ids.size - threshold + 1, 0)
+            hits = ids if threshold == 1 else ids[:span][ids[:span] == ids[threshold - 1 :]]
+            first = np.ones(hits.size, dtype=bool)
+            np.not_equal(hits[1:], hits[:-1], out=first[1:])
+            # the groups' DocId ranges ascend, so the parts join sorted
+            parts.append(hits[first] + group[0].start)
+    finally:
+        index._leave()
+    return _joined(parts)
 
 
 def _read_forward_rows(shard, words, firsts, counts):
@@ -673,39 +681,48 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def _neighbors(hit_ids: list, hit_dists: list) -> NeighborSet:
-    """One NeighborSet from parts of hit ids and their distances; only the
-    merge of shards, whose ids interleave, is not already ascending."""
+    """One NeighborSet from parts of ascending hit ids, each part's ids
+    above the last, and their distances."""
     if not hit_ids:
         return NeighborSet.empty()
     return NeighborSet(np.concatenate(hit_ids), np.concatenate(hit_dists))
 
 
-def verify(shards, candidates: np.ndarray, spec: QuerySpec) -> NeighborSet:
-    """Exact-distance verification of filter candidates for one shard or a
-    group of shards.
+def verify(index: SubCodeIndexManifest, doc_ids: np.ndarray, spec: QuerySpec) -> NeighborSet:
+    """Exact-distance verification of strictly increasing DocIds below the
+    dataset count, such as candidate_filter returns; other ids raise
+    ValueError, and a closed index QueryError.
 
-    candidates are group ids (see `_group`), sorted and unique, as the
-    uint32 array that candidate_filter returns. Reads their codes from each
-    shard's forward file, one pread per run of consecutive local ids unless
-    the runs are dense, and returns surviving entries with global DocIds.
-    Candidates are processed in batches of at most SCAN_BLOCK_BYTES of
-    codes, one kernel call per batch whatever shards it spans, so a
-    permissive filter cannot blow up resident memory. A direct caller must
-    not close the index while this runs, as for candidate_filter.
+    Reads their codes from the forward files, one pread per run of
+    consecutive ids unless the runs are dense, in batches of at most
+    SCAN_BLOCK_BYTES of codes, one kernel call per batch whatever shards it
+    spans, so a permissive filter cannot blow up resident memory.
     """
-    group, bases = _group(shards)
+    if doc_ids.size and not (doc_ids[0] >= 0 and doc_ids[-1] < index.dataset_count
+                             and np.all(doc_ids[1:] > doc_ids[:-1])):
+        raise ValueError(f"doc ids must increase strictly within [0, {index.dataset_count})")
     words = spec.query.words.size
     rows_per_block = max(1, SCAN_BLOCK_BYTES // (words * 8))
+    bounds = np.array([shard.start for shard in index.shards] + [index.dataset_count])
     hit_ids = []
     hit_dists = []
-    for lo in range(0, candidates.size, rows_per_block):
-        parts = _split(group, bases, candidates[lo : lo + rows_per_block])
-        codes = _joined([_candidate_rows(shard, words, ids) for shard, ids in parts])
-        dist = hamming_distances(codes, spec.query.words)
-        keep = np.flatnonzero(dist <= spec.radius)
-        if keep.size:
-            hit_ids.append(_joined([shard.local_to_global(ids) for shard, ids in parts])[keep])
-            hit_dists.append(dist[keep])
+    index._enter("verify", spec)
+    try:
+        for lo in range(0, doc_ids.size, rows_per_block):
+            batch = doc_ids[lo : lo + rows_per_block]
+            cuts = np.searchsorted(batch, bounds).tolist()
+            codes = _joined([
+                _candidate_rows(shard, words, batch[a:b] - shard.start)
+                for shard, a, b in zip(index.shards, cuts, cuts[1:])
+                if a < b
+            ])
+            dist = hamming_distances(codes, spec.query.words)
+            keep = np.flatnonzero(dist <= spec.radius)
+            if keep.size:
+                hit_ids.append(batch[keep])
+                hit_dists.append(dist[keep])
+    finally:
+        index._leave()
     return _neighbors(hit_ids, hit_dists)
 
 
@@ -719,54 +736,34 @@ def _scan_shard(shard: ShardDescriptor, spec: QuerySpec) -> NeighborSet:
         del block  # see _forward_blocks
         hits = np.flatnonzero(dist <= spec.radius)
         if hits.size:
-            hit_ids.append(shard.local_to_global(hits + base))
+            hit_ids.append(hits + (shard.start + base))
             hit_dists.append(dist[hits])
     return _neighbors(hit_ids, hit_dists)
 
 
 def subcode_range_search(manifest: SubCodeIndexManifest, spec: QuerySpec) -> NeighborSet:
-    """Exact radius query: filter + verify per group of shards, or a
-    streamed scan of every shard when s - radius <= 0; the parts are merged
-    by DocId."""
-    if spec.query.width_bits != manifest.geometry.width_bits:
-        raise ValueError(
-            f"query width {spec.query.width_bits} does not match index "
-            f"width {manifest.geometry.width_bits}"
-        )
-    geometry = manifest.geometry
-    if not manifest._queries.enter():
-        raise QueryError(f"query on {manifest.directory}: the index is closed")
+    """Exact radius query: verify(manifest, candidate_filter(manifest,
+    spec), spec), or a streamed scan of every shard when s - radius <= 0."""
+    if not filter_bypassed(manifest.geometry, spec.radius):
+        return verify(manifest, candidate_filter(manifest, spec), spec)
+    manifest._enter("query", spec)
     try:
-        if filter_bypassed(geometry, spec.radius):
-            parts = [_scan_shard(shard, spec) for shard in manifest.shards]
-        else:
-            # one pass per group, one group at a time: a pass is expected to
-            # decode at most FILTER_GROUP_IDS ids, and on CPython a thread
-            # per group would only add lock traffic around these small kernels
-            parts = [
-                verify(group, candidate_filter(group, geometry, spec), spec)
-                for group in manifest.groups
-            ]
+        parts = [_scan_shard(shard, spec) for shard in manifest.shards]
     finally:
-        if manifest._queries.leave():
-            manifest._close_shards()
-    if len(parts) == 1:
-        return parts[0]
+        manifest._leave()
     return _neighbors([p.ids for p in parts], [p.distances for p in parts])
 
 
 def read_code(manifest: SubCodeIndexManifest, doc_id: int) -> BinaryCode:
-    """Fetch one code by global DocId from the forward files."""
+    """Fetch one code by DocId from the forward files."""
     if not 0 <= doc_id < manifest.dataset_count:
         raise ValueError(f"doc id {doc_id} out of range [0, {manifest.dataset_count})")
-    shard = manifest.shards[doc_id % manifest.shard_count]
-    local = doc_id // manifest.shard_count
+    # shard 0 holds ceil(n / S) docs, the stride of the shards' starts
+    shard = manifest.shards[doc_id // manifest.shards[0].doc_count]
     words = manifest.geometry.width_bits // 64
-    if not manifest._queries.enter():
-        raise QueryError(f"read of doc {doc_id} in {manifest.directory}: the index is closed")
+    manifest._enter(f"read of doc {doc_id}")
     try:
-        row = _read_forward_rows(shard, words, [local], [1])[0]
+        row = _read_forward_rows(shard, words, [doc_id - shard.start], [1])[0]
     finally:
-        if manifest._queries.leave():
-            manifest._close_shards()
+        manifest._leave()
     return BinaryCode(manifest.geometry.width_bits, row.copy())

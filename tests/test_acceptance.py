@@ -373,10 +373,7 @@ def test_acceptance_07_pigeonhole_soundness(tmp_path):
             )
         spec = QuerySpec(query, radius)
         truth = set(range_search_oracle(ds, spec).ids.tolist())
-        survivors = set()
-        for shard in manifest.shards:
-            cands = candidate_filter(shard, geometry, spec)
-            survivors.update(shard.local_to_global(cands).tolist())
+        survivors = set(candidate_filter(manifest, spec).tolist())
         if not truth <= survivors:
             violations += 1
     for _, _, manifest in worlds:

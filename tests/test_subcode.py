@@ -1,4 +1,5 @@
 import errno
+import functools
 import os
 import sys
 import tempfile
@@ -39,8 +40,8 @@ from hamsearch.subcode import (
     MANIFEST_NAME,
     SubCodeGeometry,
     _group_bounds,
-    _shard_doc_count,
     _shard_paths,
+    _shard_ranges,
 )
 
 from conftest import random_dataset
@@ -79,11 +80,27 @@ def test_groups_from_doc_counts_on_the_benchmark_geometries():
     assert _group_bounds([0, 100_000, 0, 100_000], plan_geometry(256, 8)) == [(0, 3), (3, 4)]
 
 
-def test_shard_doc_counts_balanced():
-    for count in (0, 1, 7, 100, 101, 104):
-        sizes = [_shard_doc_count(count, k, 5) for k in range(5)]
-        assert sum(sizes) == count
-        assert max(sizes) - min(sizes) <= 1
+def test_shard_ranges_tile_the_doc_ids_in_order(tmp_path):
+    for count in (0, 1, 6, 7, 100, 101, 104):
+        for shards in (1, 2, 5, 7):
+            ranges = _shard_ranges(count, shards)
+            per_shard = -(-count // shards)
+            assert len(ranges) == shards
+            assert [start for start, _ in ranges] == [
+                min(k * per_shard, count) for k in range(shards)]
+            assert sum(n for _, n in ranges) == count
+            # each range starts where the one before it ends
+            assert all(a + n == b for (a, n), (b, _) in zip(ranges, ranges[1:]))
+    # empty trailing shards
+    assert [n for _, n in _shard_ranges(6, 5)] == [2, 2, 2, 0, 0]
+    ds = random_dataset(6, 64, seed=78)
+    with subcode_build(ds, plan_geometry(64, 16), 5, tmp_path / "idx") as manifest:
+        assert [(sh.start, sh.doc_count) for sh in manifest.shards] == _shard_ranges(6, 5)
+        for doc_id in range(6):
+            assert read_code(manifest, doc_id) == ds.code(doc_id)
+        for r in (0, 3, 4, 64):
+            spec = QuerySpec(ds.code(5), r)
+            assert subcode_range_search(manifest, spec) == range_search_oracle(ds, spec)
 
 
 # --- term table files -----------------------------------------------------------
@@ -218,14 +235,14 @@ def test_group_postings_id_in_the_next_shards_range_is_refused(tmp_path):
     pst = _shard_paths(tmp_path / "idx", 0)[1]
     manifest = subcode_open(tmp_path / "idx")
     shard = manifest.shards[0]
-    assert manifest.groups == [tuple(manifest.shards)] and shard.doc_count == 100
+    assert manifest._groups == [tuple(manifest.shards)] and shard.doc_count == 100
     # a list of one 1-byte id: that id is a local id below 100
     ends = shard._terms.ends.astype(np.int64)
     j = int(np.flatnonzero(np.diff(ends) == 1)[0])
     raw = bytearray(pst.read_bytes())
     local = raw[ends[j]]
     key = shard._terms.keys[j : j + 1].view(subcode._key_dtype(16))[0]
-    query = ds.code(2 * local)  # global id of shard 0's local id
+    query = ds.code(local)  # shard 0's local ids are its DocIds
     assert int(query.words.view("<u2")[key["position"]]) == key["value"]
     spec = QuerySpec(query, 3)
     assert subcode_range_search(manifest, spec) == range_search_oracle(ds, spec)
@@ -316,14 +333,16 @@ def test_open_truncated_forward_file(tmp_path):
 
 
 def test_open_rejects_version_1(tmp_path):
+    # and version 2, whose shards took round-robin DocIds
     ds = random_dataset(100, 64, seed=48)
     subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx").close()
     manifest_path = tmp_path / "idx" / MANIFEST_NAME
     raw = bytearray(manifest_path.read_bytes())
-    raw[4:8] = (1).to_bytes(4, "little")  # version
-    manifest_path.write_bytes(bytes(raw))
-    with pytest.raises(IndexOpenError, match="unsupported index version 1"):
-        subcode_open(tmp_path / "idx")
+    for version in (1, 2):
+        raw[4:8] = version.to_bytes(4, "little")
+        manifest_path.write_bytes(bytes(raw))
+        with pytest.raises(IndexOpenError, match=f"unsupported index version {version}"):
+            subcode_open(tmp_path / "idx")
 
 
 def test_open_rejects_zero_shard_count(tmp_path):
@@ -473,14 +492,9 @@ def test_filter_radius_zero_finds_exact_duplicates(tmp_path):
     ds = CodeDataset(64, codes)
     geometry = plan_geometry(64, 16)
     manifest = subcode_build(ds, geometry, 2, tmp_path / "idx")
-    spec = QuerySpec(ds.code(0), 0)
-    total = 0
-    for shard in manifest.shards:
-        cands = candidate_filter(shard, geometry, spec)
-        # threshold == s: only docs matching every sub-code survive
-        assert set(shard.local_to_global(cands).tolist()) <= {0, 1, 2}
-        total += len(cands)
-    assert total == 3
+    cands = candidate_filter(manifest, QuerySpec(ds.code(0), 0))
+    # threshold == s: only docs matching every sub-code survive
+    assert cands.tolist() == [0, 1, 2]
     manifest.close()
 
 
@@ -493,10 +507,10 @@ def test_filter_one_flip_survives_threshold():
     geometry = plan_geometry(64, 16)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = subcode_build(ds, geometry, 1, tmp)
-        cands = candidate_filter(manifest.shards[0], geometry, QuerySpec(base, 1))
+        cands = candidate_filter(manifest, QuerySpec(base, 1))
         assert cands.tolist() == [0]
         # it shares exactly s - 1 sub-codes, so threshold s drops it
-        exact = candidate_filter(manifest.shards[0], geometry, QuerySpec(base, 0))
+        exact = candidate_filter(manifest, QuerySpec(base, 0))
         assert 0 not in exact
         manifest.close()
 
@@ -506,7 +520,7 @@ def test_filter_requires_nonvacuous_threshold(tmp_path):
     geometry = plan_geometry(64, 16)
     manifest = subcode_build(ds, geometry, 2, tmp_path / "idx")
     with pytest.raises(ValueError, match="bypass"):
-        candidate_filter(manifest.shards[0], geometry, QuerySpec(ds.code(0), 4))
+        candidate_filter(manifest, QuerySpec(ds.code(0), 4))
     manifest.close()
 
 
@@ -519,10 +533,7 @@ def test_filter_no_false_negatives_table_radii(tmp_path):
         q = ds.code(int(qid))
         for r in (3,):  # s=4: only r=3 keeps the filter active
             truth = range_search_oracle(ds, QuerySpec(q, r))
-            survivors = set()
-            for shard in manifest.shards:
-                cands = candidate_filter(shard, geometry, QuerySpec(q, r))
-                survivors |= set(shard.local_to_global(cands).tolist())
+            survivors = set(candidate_filter(manifest, QuerySpec(q, r)).tolist())
             assert set(truth.ids.tolist()) <= survivors
     manifest.close()
 
@@ -532,13 +543,11 @@ def test_filter_monotone_in_radius(tmp_path):
     geometry = plan_geometry(64, 8)
     manifest = subcode_build(ds, geometry, 3, tmp_path / "idx")
     q = ds.code(17)
-    for shard in manifest.shards:
-        previous = set()
-        for r in range(0, 8):  # s=8: all these keep the filter active
-            cands = candidate_filter(shard, geometry, QuerySpec(q, r))
-            current = set(cands.tolist())
-            assert previous <= current
-            previous = current
+    previous = set()
+    for r in range(0, 8):  # s=8: all these keep the filter active
+        current = set(candidate_filter(manifest, QuerySpec(q, r)).tolist())
+        assert previous <= current
+        previous = current
     manifest.close()
 
 
@@ -547,7 +556,7 @@ def test_filter_absent_term_is_empty_list(tmp_path):
     geometry = plan_geometry(64, 16)
     manifest = subcode_build(ds, geometry, 1, tmp_path / "idx")
     # query whose sub-codes appear nowhere: no candidates, not an error
-    cands = candidate_filter(manifest.shards[0], geometry, QuerySpec(BinaryCode.ones(64), 1))
+    cands = candidate_filter(manifest, QuerySpec(BinaryCode.ones(64), 1))
     assert len(cands) == 0
     manifest.close()
 
@@ -558,7 +567,7 @@ def test_verify_empty_candidates(tmp_path):
     ds = random_dataset(100, 64, seed=54)
     geometry = plan_geometry(64, 16)
     manifest = subcode_build(ds, geometry, 2, tmp_path / "idx")
-    result = verify(manifest.shards[0], np.empty(0, dtype=np.uint32), QuerySpec(ds.code(0), 5))
+    result = verify(manifest, np.empty(0, dtype=np.uint32), QuerySpec(ds.code(0), 5))
     assert len(result) == 0
     manifest.close()
 
@@ -569,14 +578,13 @@ def test_verify_all_candidates_equals_oracle_restricted_to_shard(tmp_path):
     manifest = subcode_build(ds, geometry, 4, tmp_path / "idx")
     q = ds.code(3)
     for r in (10, 40, 128):
-        truth = range_search_oracle(ds, QuerySpec(q, r)).as_set()
+        truth = range_search_oracle(ds, QuerySpec(q, r))
         for shard in manifest.shards:
-            everyone = np.arange(shard.doc_count, dtype=np.int64)
-            got = verify(shard, everyone, QuerySpec(q, r)).as_set()
-            expected = {
-                (i, d) for i, d in truth if i % manifest.shard_count == shard.shard_index
-            }
-            assert got == expected
+            end = shard.start + shard.doc_count
+            everyone = np.arange(shard.start, end, dtype=np.int64)
+            got = verify(manifest, everyone, QuerySpec(q, r)).as_set()
+            assert got == {(i, d) for i, d in truth.as_set() if shard.start <= i < end}
+        assert verify(manifest, np.arange(1000), QuerySpec(q, r)) == truth
     manifest.close()
 
 
@@ -605,17 +613,17 @@ def test_verify_reads_sparse_runs_exactly(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "pread", recording_pread)
     spec = QuerySpec(ds.code(9), 64)
     # three runs of consecutive ids, far apart: only their rows are read
-    sparse = np.array([3, 4, 5, 1500, 3000, 3001], dtype=np.int64)
-    got = verify(shard, sparse, spec)
+    sparse = shard.start + np.array([3, 4, 5, 1500, 3000, 3001], dtype=np.int64)
+    got = verify(manifest, sparse, spec)
     assert sum(reads) == sparse.size * 8
     assert len(reads) == 3
-    assert np.array_equal(got.ids, shard.local_to_global(sparse))
+    assert np.array_equal(got.ids, sparse)
     # runs a few rows apart: one read of the rows they span
     reads.clear()
-    dense = np.array([3, 4, 5, 100, 250, 251], dtype=np.int64)
-    got = verify(shard, dense, spec)
+    dense = shard.start + np.array([3, 4, 5, 100, 250, 251], dtype=np.int64)
+    got = verify(manifest, dense, spec)
     assert reads == [(251 - 3 + 1) * 8]
-    assert np.array_equal(got.ids, shard.local_to_global(dense))
+    assert np.array_equal(got.ids, dense)
     manifest.close()
 
 
@@ -625,7 +633,7 @@ def test_truncated_forward_file_raises_query_error(tmp_path):
     shard = manifest.shards[0]
     os.truncate(_shard_paths(manifest.directory, 0)[2], shard.doc_count * 8 // 2)
     # the last doc of shard 0 now lies past the end of its forward file
-    last = int(shard.local_to_global(np.int64(shard.doc_count - 1)))
+    last = shard.start + shard.doc_count - 1
     for radius in (0, 64):  # filter + verify, then the bypass scan
         with pytest.raises(QueryError, match="shard 0"):
             subcode_range_search(manifest, QuerySpec(ds.code(last), radius))
@@ -638,8 +646,10 @@ def test_truncated_forward_file_raises_query_error(tmp_path):
         lambda m, q: subcode_range_search(m, QuerySpec(q, 3)),  # filter + verify
         lambda m, q: subcode_range_search(m, QuerySpec(q, 64)),  # bypass scan
         lambda m, q: read_code(m, 7),
+        lambda m, q: candidate_filter(m, QuerySpec(q, 3)),
+        lambda m, q: verify(m, np.arange(5, dtype=np.uint32), QuerySpec(q, 3)),
     ],
-    ids=["filter", "bypass_scan", "read_code"],
+    ids=["filter", "bypass_scan", "read_code", "candidate_filter", "verify"],
 )
 def test_closed_index_raises_query_error(tmp_path, call):
     ds = random_dataset(200, 64, seed=66)
@@ -706,9 +716,24 @@ def test_read_code_roundtrip(tmp_path):
 def test_width_mismatch_query(tmp_path):
     ds = random_dataset(10, 64, seed=62)
     manifest = subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx")
-    with pytest.raises(ValueError):
-        subcode_range_search(manifest, QuerySpec(BinaryCode.zeros(128), 3))
+    for r in (1, 3, 64):  # filter + verify, then the bypass scan
+        with pytest.raises(ValueError, match="query width 128"):
+            subcode_range_search(manifest, QuerySpec(BinaryCode.zeros(128), r))
+    with pytest.raises(ValueError, match="query width 128"):
+        candidate_filter(manifest, QuerySpec(BinaryCode.zeros(128), 1))
+    with pytest.raises(ValueError, match="query width 128"):
+        verify(manifest, np.arange(3), QuerySpec(BinaryCode.zeros(128), 3))
     manifest.close()
+
+
+def test_verify_rejects_ids_outside_the_index_or_out_of_order(tmp_path):
+    ds = random_dataset(10, 64, seed=79)
+    spec = QuerySpec(ds.code(0), 64)
+    with subcode_build(ds, plan_geometry(64, 16), 3, tmp_path / "idx") as manifest:
+        for ids in ([9, 10], [10], [-1, 3], [2, 1], [4, 4]):
+            with pytest.raises(ValueError, match=r"within \[0, 10\)"):
+                verify(manifest, np.array(ids), spec)
+        assert verify(manifest, np.arange(10), spec) == range_search_oracle(ds, spec)
 
 
 # --- properties of the forward reads -------------------------------------------
@@ -725,8 +750,8 @@ def small_indexes(tmp_path_factory):
         manifest.close()
 
 
-def _local_id_sets(n):
-    """Sorted unique local ids: the full range, or a union of runs (which
+def _id_sets(n):
+    """Sorted unique ids below n: the full range, or a union of runs (which
     may be empty, single ids, or runs that touch)."""
     runs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 12)), max_size=12)
     return st.one_of(
@@ -752,18 +777,20 @@ def _queries(ds):
 @given(data=st.data())
 def test_verify_equals_oracle_on_candidate_ids(small_indexes, width, data):
     ds, manifest = small_indexes[width]
+    # ids of one shard, or of any of them
     shard = data.draw(st.sampled_from(manifest.shards))
-    local_ids = data.draw(_local_id_sets(shard.doc_count))
+    doc_ids = data.draw(st.one_of(
+        _id_sets(shard.doc_count).map(lambda ids: ids + shard.start), _id_sets(ds.count)))
     spec = QuerySpec(data.draw(_queries(ds)), data.draw(st.integers(0, width)))
-    # blocks of a few rows, so batch boundaries split runs; the dense-run
-    # gap picks run-by-run reads, streamed spans, or either per batch
+    # blocks of a few rows, so batch boundaries split runs and shards; the
+    # dense-run gap picks run-by-run reads, streamed spans, or either per batch
     block_rows = data.draw(st.integers(1, 9))
     dense_gap = data.draw(st.sampled_from([0, 4 * width // 8, 1 << 40]))
     with mock.patch.object(subcode, "SCAN_BLOCK_BYTES", block_rows * width // 8), \
             mock.patch.object(subcode, "DENSE_RUN_GAP_BYTES", dense_gap):
-        got = verify(shard, local_ids, spec)
+        got = verify(manifest, doc_ids, spec)
     truth = range_search_oracle(ds, spec)
-    wanted = np.isin(truth.ids, shard.local_to_global(local_ids))
+    wanted = np.isin(truth.ids, doc_ids)
     assert got == NeighborSet(truth.ids[wanted], truth.distances[wanted])
 
 
@@ -815,11 +842,6 @@ def test_both_backends_equal_oracle(data):
 
 
 
-def _merged(parts) -> NeighborSet:
-    return NeighborSet(np.concatenate([p.ids for p in parts]),
-                       np.concatenate([p.distances for p in parts]))
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_a_group_pass_equals_its_shards_passes(data):
@@ -841,34 +863,44 @@ def test_a_group_pass_equals_its_shards_passes(data):
         label="query",
     )
     spec = QuerySpec(query, radius)
-    # any split into consecutive groups, and one plan per group bound
+    # open's groups from any split into consecutive shards, and from each
+    # group bound: FILTER_GROUP_IDS 0 puts every non-empty shard in a group
+    # of its own
     cuts = data.draw(st.lists(st.booleans(), min_size=shard_count - 1,
                               max_size=shard_count - 1), label="cuts")
     bounds = [0] + [k for k, cut in enumerate(cuts, 1) if cut] + [shard_count]
-    group_ids = data.draw(st.sampled_from([0, 20, FILTER_GROUP_IDS]), label="group_ids")
+    drawn = mock.patch.object(subcode, "_group_bounds",
+                              lambda counts, geometry: list(zip(bounds, bounds[1:])))
+    plans = [drawn] + [mock.patch.object(subcode, "FILTER_GROUP_IDS", ids)
+                       for ids in (0, 20, FILTER_GROUP_IDS)]
     block_rows = data.draw(st.integers(1, 9), label="block_rows")
     truth = range_search_oracle(ds, spec)
     with tempfile.TemporaryDirectory() as tmp:
-        with mock.patch.object(subcode, "FILTER_GROUP_IDS", group_ids):
-            manifest = subcode_build(ds, geometry, shard_count, tmp)
-        with manifest, mock.patch.object(subcode, "SCAN_BLOCK_BYTES", block_rows * width // 8):
-            parts = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                group = manifest.shards[lo:hi]
-                bases = np.cumsum([0] + [shard.doc_count for shard in group])
-                local = [candidate_filter(shard, geometry, spec) for shard in group]
-                candidates = candidate_filter(group, geometry, spec)
+        subcode_build(ds, geometry, shard_count, tmp).close()
+        results = []
+        for plan in plans:
+            with plan:
+                manifest = subcode_open(tmp)
+            with manifest, mock.patch.object(subcode, "SCAN_BLOCK_BYTES",
+                                             block_rows * width // 8):
+                candidates = candidate_filter(manifest, spec)
                 assert candidates.dtype == np.uint32
-                assert np.array_equal(
-                    candidates, np.concatenate([ids + base for ids, base in zip(local, bases)]))
-                got = verify(group, candidates, spec)
-                assert got == _merged([verify(sh, ids, spec) for sh, ids in zip(group, local)])
-                parts.append(got)
-            assert _merged(parts) == truth
-            assert subcode_range_search(manifest, spec) == truth
+                assert np.all(candidates[1:] > candidates[:-1])
+                assert np.isin(truth.ids, candidates).all()
+                assert verify(manifest, candidates, spec) == truth
+                assert subcode_range_search(manifest, spec) == truth
+            results.append(candidates)
+        assert all(np.array_equal(ids, results[0]) for ids in results)
 
 
-@pytest.mark.parametrize("backend", ["subcode", "flat"])
+def _composed_search(index, spec):
+    """A client's own composition of the two phases of a sub-code query."""
+    if filter_bypassed(index.geometry, spec.radius):
+        return subcode_range_search(index, spec)
+    return verify(index, candidate_filter(index, spec), spec)
+
+
+@pytest.mark.parametrize("backend", ["subcode", "subcode-direct", "flat"])
 def test_closing_an_index_under_live_queries_never_answers_wrong(tmp_path, backend):
     # one thread queries index A while the main thread closes A and opens
     # index B, whose files take the descriptor numbers A's close frees
@@ -879,10 +911,12 @@ def test_closing_an_index_under_live_queries_never_answers_wrong(tmp_path, backe
     subcode_build(other, geometry, 3, tmp_path / "b").close()
     specs = [QuerySpec(ds.code(i), r) for i in (1, 4321, 12345) for r in (2, 5, 8)]
     truths = [range_search_oracle(ds, spec) for spec in specs]
-    if backend == "subcode":
-        open_index, search = (lambda: subcode_open(tmp_path / "a")), subcode_range_search
+    search = {"subcode": subcode_range_search, "subcode-direct": _composed_search,
+              "flat": flat_range_search}[backend]
+    if backend == "flat":
+        open_index = functools.partial(flat_build, ds, workers=3)
     else:
-        open_index, search = (lambda: flat_build(ds, workers=3)), flat_range_search
+        open_index = functools.partial(subcode_open, tmp_path / "a")
     outcomes = {"exact": 0, "refused": 0, "wrong": 0}
     errors = []
 
@@ -920,16 +954,16 @@ def test_closing_an_index_under_live_queries_never_answers_wrong(tmp_path, backe
 
 # --- result ordering ---------------------------------------------------------------
 
-def test_a_query_sorts_only_to_merge_shards(tmp_path, monkeypatch):
-    # the flat scan, verify and the bypass scan each yield ascending ids, so
-    # only the merge of a sub-code query's interleaved shard results sorts
+def test_no_query_sorts_its_results(tmp_path, monkeypatch):
+    # the flat scan, verify and the bypass scan each yield ascending ids, and
+    # the shards hold ascending DocId ranges, so no merge sorts
     ds = random_dataset(3000, 64, seed=74, cluster_count=20, flip_probability=0.05)
-    geometry = plan_geometry(64, 8)  # s=8: r=3 filters, r=8 bypasses
+    geometry = plan_geometry(64, 8)  # s=8: r=4 filters, r=8 bypasses
     manifest = subcode_build(ds, geometry, 5, tmp_path / "idx")
     index = flat_build(ds, workers=5)
     searches = {
         "flat": (lambda spec: flat_range_search(index, spec), 8),
-        "filter": (lambda spec: subcode_range_search(manifest, spec), 3),
+        "filter": (lambda spec: subcode_range_search(manifest, spec), 4),
         "bypass": (lambda spec: subcode_range_search(manifest, spec), 8),
     }
     truths = {name: range_search_oracle(ds, QuerySpec(ds.code(11), r))
@@ -945,10 +979,11 @@ def test_a_query_sorts_only_to_merge_shards(tmp_path, monkeypatch):
     monkeypatch.undo()
     manifest.close()
     index.close()
-    assert not filter_bypassed(geometry, 3) and filter_bypassed(geometry, 8)
-    # hits in several shards, so that the shards' results interleave
-    assert all(len(set((t.ids % 5).tolist())) > 1 for t in truths.values())
-    assert counts == {"flat": 0, "filter": 1, "bypass": 1}
+    assert not filter_bypassed(geometry, 4) and filter_bypassed(geometry, 8)
+    # hits in several shards, so that the shards' results are merged
+    per_shard = manifest.shards[0].doc_count
+    assert all(len(set((t.ids // per_shard).tolist())) > 1 for t in truths.values())
+    assert counts == {"flat": 0, "filter": 0, "bypass": 0}
 
 
 # --- the benchmark's traced names ------------------------------------------------
@@ -963,10 +998,7 @@ def test_benchmark_tracer_reaches_every_traced_name(tmp_path, monkeypatch):
     geometry = plan_geometry(64, 8)  # s=8: r=3 filters, r=8 bypasses
     manifest = subcode_build(ds, geometry, 3, tmp_path / "idx")
     filter_spec = QuerySpec(ds.code(11), 3)
-    candidates = sum(len(candidate_filter(sh, geometry, filter_spec)) for sh in manifest.shards)
-    # 1000 codes a shard at s=8, sw=8 make one group: one filter and one
-    # verify call per query
-    assert manifest.groups == [tuple(manifest.shards)]
+    candidates = len(candidate_filter(manifest, filter_spec))
     tracer = Tracer()
     with tracer:
         hits = subcode_range_search(manifest, filter_spec)
