@@ -35,8 +35,10 @@ for path in sorted(tmp.iterdir()):
     print(f"  {path.name:12s} {path.stat().st_size:>12,} bytes")
 
 # A query within radius r can disagree with a stored code on at most r
-# sub-codes, so docs matching fewer than s - r of the query's terms are
-# safely skipped; survivors get exact verification.
+# sub-codes, so among any k of the query's terms, docs matching fewer than
+# k - r are safely skipped. The filter reads only the k shortest postings
+# lists, k chosen per query from their lengths; survivors get exact
+# verification.
 query = QuerySpec(dataset.code(4242), radius=3)
 cands = candidate_filter(manifest, query)
 print(f"{len(cands)} candidates of {manifest.dataset_count} docs after filtering")

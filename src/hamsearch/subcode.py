@@ -5,13 +5,15 @@ Shard k of S holds the DocIds [k * c, min((k + 1) * c, n)) of n codes, for
 c = ceil(n / S), so only trailing shards may be empty. Its local id j, a
 forward-file row and a postings id, is DocId k * c + j.
 
-A query runs in two phases over the whole index. candidate_filter fetches
-every shard's postings list for each of the query's s sub-codes and keeps
-documents matching at least s - r of them: a code within Hamming distance r
-can disagree with the query on at most r sub-codes. It decodes one group of
-consecutive shards at a time (see FILTER_GROUP_IDS) and returns the
-survivors as sorted DocIds, which verify checks against exact distances
-read from the forward files. When s - r <= 0 the bound is vacuous and the
+A query runs in two phases over the whole index. candidate_filter looks up
+every shard's postings list for each of the query's s sub-codes, reads only
+the k shortest of them, and keeps documents matching at least k - r of
+those: a code within Hamming distance r can disagree with the query on at
+most r of any k sub-codes. A plan picks k in [r + 1, s] from the lengths the
+lookup returns (see _plan). The filter decodes one group of consecutive
+shards at a time (see FILTER_GROUP_IDS) and returns the survivors as sorted
+DocIds, which verify checks against exact distances read from the forward
+files. When s - r <= 0 the bound is vacuous and the
 query degrades to a streamed scan of each shard's forward file. Shards
 follow DocId order, so every result comes out ascending without a sort.
 
@@ -38,6 +40,7 @@ holds by construction: it is stored in sub_width bits.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -81,6 +84,14 @@ DENSE_RUN_GAP_BYTES = 4096
 # _group_bounds): 64 KiB of uint32 ids, a few of the pass's arrays of that
 # size staying well under glibc's heap trim threshold
 FILTER_GROUP_IDS = 16384
+
+# the filter's plan (see _plan) counts a candidate as costing verify as much
+# as decoding this many postings ids costs the filter. Forcing k from 17 to
+# 32 on a filter-m256-r15 benchmark index (seed 902, 200 queries, 2-vCPU VM,
+# ids counted by wrapping varint.decode_with_ends) moved the filter by
+# 17.9 ns per decoded id and verify by 0.76 us per candidate: a ratio of 42.
+# In-process, 40 answered 5% faster than 100 on the same queries.
+CANDIDATE_COST_IDS = 40
 
 # incremented on every subcode_build call; restart checks assert it stays 0
 # in a process that only opens and queries an existing index
@@ -149,14 +160,13 @@ class _TermTable:
     ends: np.ndarray
 
     def lookup(self, keys: np.ndarray):
-        """(offsets, lengths) of the postings lists of the keys present in
-        the table, in the order of the keys; absent keys are left out."""
+        """(offsets, lengths) of the postings lists of the keys, in the
+        order of the keys; an absent key has length 0."""
         idx = np.searchsorted(self.keys, keys)
         present = idx < self.keys.size
         present[present] = self.keys[idx[present]] == keys[present]
-        idx = idx[present]
         starts = self.ends[idx]
-        return starts, self.ends[idx + 1] - starts
+        return starts, self.ends[idx + present] - starts
 
 
 def _open_term_table(trm_path: Path, pst_path: Path, geometry: SubCodeGeometry) -> _TermTable:
@@ -497,9 +507,10 @@ def _group_bounds(doc_counts, geometry: SubCodeGeometry) -> list:
 
     Skewed sub-codes decode more than this expects: 206.8 ids a query
     against 122 expected on 2M clustered 64-bit codes at sub_width 16, a
-    factor of 1.7. The bound is kept on doc counts alone, so that a group
-    does not depend on the data; a per-query plan from the term tables'
-    list lengths would follow the skew."""
+    factor of 1.7. A planned pass (see _plan) that reads k < s lists
+    decodes fewer ids than the bound expects: 6.4k a shard against 12.5k on
+    filter-m256-r15's 100k-code shards. The bound is kept on doc counts
+    alone, so that a group does not depend on the data or the query."""
     per_doc = geometry.subcode_count / 2**geometry.sub_width
     bounds, lo, expected = [], 0, 0.0
     for k, count in enumerate(doc_counts):
@@ -509,6 +520,51 @@ def _group_bounds(doc_counts, geometry: SubCodeGeometry) -> list:
         expected += count * per_doc
     bounds.append((lo, len(doc_counts)))
     return bounds
+
+
+def _plan(lengths: list, radius: int, postings_bytes: int) -> list:
+    """The query terms whose postings lists a pass reads, ascending: the k
+    shortest of the s lists with these byte lengths, absent terms (length
+    0) first. The pass counts with threshold k - radius. A doc within
+    radius of the query disagrees with it on at most radius of any k
+    sub-codes, so every k in [radius + 1, s] keeps the filter exact.
+
+    k minimises the expected ids decoded plus CANDIDATE_COST_IDS times the
+    expected candidates, both per doc of the pass's n docs. Every doc sits
+    in exactly s lists, so the k lists hold about lam = bytes * s /
+    postings_bytes ids per doc. Taken as independent, a doc's memberships
+    of the k lists are Poisson with mean lam, which reach the threshold
+    T = k - radius with probability at most lam**T / T!. These estimates
+    choose k only; exactness rests on the threshold.
+
+    k steps up from radius + 1 and stops at the first rise in cost where
+    that bound is below 1; where it is not, every doc counts as a
+    candidate and the cost only grows with k. The bound falls steeply with
+    T, so the loop ends a few steps past radius + 1: at 18 on the
+    benchmark's m=256, r=15 index, after 4 of the 17 steps to s.
+
+    The plan runs in plain Python over the at most s lengths: a numpy
+    routine that the query path does not already call faults 128-196 KiB
+    of its machine code into the serving process on first use.
+    """
+    s = len(lengths)
+    if s - radius == 1 or not postings_bytes:
+        return list(range(s))
+    order = sorted(range(s), key=lengths.__getitem__)
+    nbytes = sum(lengths[t] for t in order[:radius])
+    k, best = s, math.inf
+    for count in range(radius + 1, s + 1):
+        nbytes += lengths[order[count - 1]]
+        lam = nbytes * s / postings_bytes
+        t = count - radius
+        # the log of the Poisson bound, capped at 0: every doc a candidate
+        log_p = min(t * math.log(lam) - math.lgamma(t + 1), 0.0) if lam else -math.inf
+        cost = lam + CANDIDATE_COST_IDS * math.exp(log_p)
+        if cost <= best:
+            k, best = count, cost
+        elif log_p < 0:
+            break
+    return sorted(order[:k])
 
 
 def _postings_fault(group, chunks) -> QueryError:
@@ -526,8 +582,9 @@ def _postings_fault(group, chunks) -> QueryError:
 def _decode_group(group, chunks, data, lens) -> tuple:
     """Decode the postings bytes of a group of two or more shards, joined
     as data, into ids offset from the group's first DocId: bases[k] + j for
-    local id j of group[k]. Returns the ids and the indexes of the shards
-    whose ids fall outside [bases[k], bases[k + 1])."""
+    local id j of group[k]; lens[k] lists the byte lengths of the lists
+    read from group[k]. Returns the ids and the indexes of the shards whose
+    ids fall outside [bases[k], bases[k + 1])."""
     bases = [0, *itertools.accumulate(shard.doc_count for shard in group)]
     # a shard's bytes that end inside a varint would run on into the next
     # shard's lists
@@ -535,11 +592,12 @@ def _decode_group(group, chunks, data, lens) -> tuple:
         raise _postings_fault(group, chunks)
     # the shards that have lists, the index of each one's first list, and
     # the step from the base of the one before it (base 0 for the first)
-    owners = [k for k, shard_lens in enumerate(lens) if shard_lens.size]
-    heads = list(itertools.accumulate([lens[k].size for k in owners[:-1]], initial=0))
+    owners = [k for k, shard_lens in enumerate(lens) if shard_lens]
+    heads = list(itertools.accumulate([len(lens[k]) for k in owners[:-1]], initial=0))
     steps = [bases[k] - bases[j] for j, k in zip([0] + owners, owners)]
+    all_lens = np.array(list(itertools.chain.from_iterable(lens)), dtype=np.int64)
     try:
-        ids, firsts = _decode_postings(data, np.concatenate(lens), heads, steps)
+        ids, firsts = _decode_postings(data, all_lens, heads, steps)
     except varint.VarintError as exc:
         raise _postings_fault(group, chunks) from exc
     if not owners:
@@ -554,15 +612,14 @@ def _decode_group(group, chunks, data, lens) -> tuple:
 def candidate_filter(index: SubCodeIndexManifest, spec: QuerySpec) -> np.ndarray:
     """Pigeonhole candidate generation over the whole index.
 
-    Fetches each shard's postings list for each of the query's s sub-code
-    terms and keeps docs appearing in at least s - radius of them. Absent
-    terms count as empty lists. Returns the surviving DocIds as a sorted,
-    unique uint32 array, the input verify takes. Requires s - radius >= 1;
-    callers bypass the filter entirely otherwise. Raises QueryError on a
-    closed index.
+    Looks up each shard's postings list for each of the query's s sub-code
+    terms, reads only the k shortest of them that `_plan` picks, and keeps
+    docs appearing in at least k - radius of those. Absent terms count as
+    empty lists. Returns the surviving DocIds as a sorted, unique uint32
+    array, the input verify takes. Requires s - radius >= 1; callers bypass
+    the filter entirely otherwise. Raises QueryError on a closed index.
     """
-    threshold = index.geometry.subcode_count - spec.radius
-    if threshold < 1:
+    if index.geometry.subcode_count - spec.radius < 1:
         raise ValueError("candidate_filter requires s - radius >= 1; bypass instead")
     sw = index.geometry.sub_width
     values = spec.query.words.view(f"<u{sw // 8}")
@@ -574,29 +631,41 @@ def candidate_filter(index: SubCodeIndexManifest, spec: QuerySpec) -> np.ndarray
         # FILTER_GROUP_IDS ids; on CPython a thread per group would only add
         # lock traffic around these small kernels
         for group in index._groups:
+            found = [shard._terms.lookup(keys) for shard in group]
+            offs = [shard_offs.tolist() for shard_offs, _ in found]
+            lens = [shard_lens.tolist() for _, shard_lens in found]
+            # a group counts in one pass with one threshold, so it takes
+            # one plan, on each term's lengths summed over its shards
+            terms = _plan(
+                lens[0] if len(group) == 1 else [sum(ls) for ls in zip(*lens)],
+                spec.radius,
+                sum(int(shard._terms.ends[-1]) for shard in group),
+            )
+            threshold = len(terms) - spec.radius
             chunks = []
-            lens = []
-            for shard in group:
+            read_lens = []
+            for shard, shard_offs, shard_lens in zip(group, offs, lens):
                 # offsets ascend by construction: the build lays lists out
-                # in (position, value) order and the query takes one value
-                # per position
-                offs, shard_lens = shard._terms.lookup(keys)
+                # in (position, value) order and the plan keeps term order
+                read = [t for t in terms if shard_lens[t]]
+                read_lens.append([shard_lens[t] for t in read])
                 chunks.append(_pread_spans(
-                    shard, shard._pst_fd, offs.tolist(), shard_lens.tolist(), "postings"
+                    shard, shard._pst_fd, [shard_offs[t] for t in read], read_lens[-1],
+                    "postings",
                 ))
-                lens.append(shard_lens)
             data = np.frombuffer(b"".join(chunks), dtype=np.uint8)
             # _decode_group gives the same ids and errors for one shard, but
             # its step and per-shard range check cost 6% of a 5-shard m=256,
             # sw=8 r=15 query on a 2-vCPU VM, whose shards are a group each
             if len(group) == 1:
                 try:
-                    ids, _ = _decode_postings(data, lens[0], [], [])
+                    ids, _ = _decode_postings(
+                        data, np.array(read_lens[0], dtype=np.int64), [], [])
                 except varint.VarintError as exc:
                     raise _postings_fault(group, chunks) from exc
                 bad = [0] if ids.size and int(ids.max()) >= group[0].doc_count else []
             else:
-                ids, bad = _decode_group(group, chunks, data, lens)
+                ids, bad = _decode_group(group, chunks, data, read_lens)
             if bad:
                 raise QueryError(
                     f"corrupt postings in shard {group[bad[0]].shard_index}: "
@@ -647,9 +716,9 @@ def _forward_blocks(shard, words, first, end):
         yield base, _read_forward_rows(shard, words, [base], [n])
 
 
-def _candidate_rows(shard, words, local_ids):
-    """The codes of sorted unique local ids, at least one and at most
-    SCAN_BLOCK_BYTES of codes, as a (ids, words) array.
+def _candidate_rows(shard, words, local_ids, out):
+    """Write the codes of sorted unique local ids, at least one and at most
+    SCAN_BLOCK_BYTES of codes, into out, a (ids, words) array.
 
     Ids whose runs of consecutive ids lie far apart are read run by run.
     Dense ids stream the rows they span block by block instead and pick
@@ -665,15 +734,14 @@ def _candidate_rows(shard, words, local_ids):
     if runs * DENSE_RUN_GAP_BYTES < (end - first) * code_bytes:
         run_starts = np.flatnonzero(new_run)
         run_counts = np.diff(np.append(run_starts, local_ids.size))
-        return _read_forward_rows(
+        out[...] = _read_forward_rows(
             shard, words, local_ids[run_starts].tolist(), run_counts.tolist()
         )
-    rows = np.empty((local_ids.size, words), dtype=np.uint64)
+        return
     for base, block in _forward_blocks(shard, words, first, end):
         b_lo, b_hi = np.searchsorted(local_ids, (base, base + block.shape[0]))
-        np.take(block, local_ids[b_lo:b_hi] - base, axis=0, out=rows[b_lo:b_hi])
+        np.take(block, local_ids[b_lo:b_hi] - base, axis=0, out=out[b_lo:b_hi])
         del block  # see _forward_blocks
-    return rows
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -711,11 +779,11 @@ def verify(index: SubCodeIndexManifest, doc_ids: np.ndarray, spec: QuerySpec) ->
         for lo in range(0, doc_ids.size, rows_per_block):
             batch = doc_ids[lo : lo + rows_per_block]
             cuts = np.searchsorted(batch, bounds).tolist()
-            codes = _joined([
-                _candidate_rows(shard, words, batch[a:b] - shard.start)
-                for shard, a, b in zip(index.shards, cuts, cuts[1:])
-                if a < b
-            ])
+            # each shard writes its rows straight into its slice of the batch
+            codes = np.empty((batch.size, words), dtype=np.uint64)
+            for shard, a, b in zip(index.shards, cuts, cuts[1:]):
+                if a < b:
+                    _candidate_rows(shard, words, batch[a:b] - shard.start, codes[a:b])
             dist = hamming_distances(codes, spec.query.words)
             keep = np.flatnonzero(dist <= spec.radius)
             if keep.size:

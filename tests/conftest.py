@@ -1,7 +1,10 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from hamsearch import CodeDataset, SyntheticSpec, gen_synthetic
+from hamsearch import CodeDataset, SyntheticSpec, gen_synthetic, subcode
 
 # pass/fail lines recorded by the acceptance tests; replayed after the run
 # so they show up even without -s
@@ -36,6 +39,27 @@ def python_loop_distance(a_words, b_words, width_bits: int) -> int:
 
 def random_dataset(count: int, width_bits: int, seed: int, **kw) -> CodeDataset:
     return gen_synthetic(SyntheticSpec(count=count, width_bits=width_bits, seed=seed, **kw))
+
+
+def forced_plan(k_of):
+    """A stand-in for the filter's planner that reads the k_of(s, radius)
+    shortest of a pass's s lists, absent ones first, in term order."""
+
+    def plan(lengths, radius, postings_bytes):
+        order = sorted(range(len(lengths)), key=lengths.__getitem__)
+        return sorted(order[: k_of(len(lengths), radius)])
+
+    return plan
+
+
+def filter_plans():
+    """The filter's own plan, and its plan forced to each end of the range
+    of k it may choose: k = r + 1 and k = s, the all-lists filter."""
+    return {
+        "own": contextlib.nullcontext(),
+        "k=r+1": mock.patch.object(subcode, "_plan", forced_plan(lambda s, r: r + 1)),
+        "k=s": mock.patch.object(subcode, "_plan", forced_plan(lambda s, r: s)),
+    }
 
 
 @pytest.fixture

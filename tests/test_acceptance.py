@@ -42,7 +42,7 @@ from hamsearch import (
 from hamsearch.bench import _run_phase, measure_latency
 from hamsearch.subcode import MANIFEST_NAME
 
-from conftest import ACCEPTANCE_LINES, random_dataset
+from conftest import ACCEPTANCE_LINES, filter_plans, random_dataset
 from test_phash import slow_phash_words
 
 
@@ -357,6 +357,8 @@ def test_acceptance_07_pigeonhole_soundness(tmp_path):
         worlds.append((ds, geometry, manifest))
 
     rng = np.random.default_rng(4000)
+    # the filter's own plan, and its plan forced to k = r + 1 and to k = s
+    plans = filter_plans()
     violations = 0
     trials = 10_000
     for _ in range(trials):
@@ -373,17 +375,20 @@ def test_acceptance_07_pigeonhole_soundness(tmp_path):
             )
         spec = QuerySpec(query, radius)
         truth = set(range_search_oracle(ds, spec).ids.tolist())
-        survivors = set(candidate_filter(manifest, spec).tolist())
-        if not truth <= survivors:
-            violations += 1
+        for plan in plans.values():
+            with plan:
+                survivors = set(candidate_filter(manifest, spec).tolist())
+            if not truth <= survivors:
+                violations += 1
     for _, _, manifest in worlds:
         manifest.close()
     elapsed = time.monotonic() - start
     _report(
         7,
         violations == 0 and elapsed < 120,
-        f"{trials} randomized (dataset, query, radius) trials with s-r >= 1: "
-        f"{violations} pigeonhole violations, {elapsed:.0f}s",
+        f"{trials} randomized (dataset, query, radius) trials with s-r >= 1, each "
+        f"under {len(plans)} filter plans: {violations} pigeonhole violations, "
+        f"{elapsed:.0f}s",
     )
 
 

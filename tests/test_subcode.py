@@ -44,7 +44,7 @@ from hamsearch.subcode import (
     _shard_ranges,
 )
 
-from conftest import random_dataset
+from conftest import filter_plans, random_dataset
 
 
 # --- geometry ---------------------------------------------------------------
@@ -462,8 +462,10 @@ def test_term_lookup_equals_dict_reference(sub_width, data):
         sub_width,
     )
     offsets, lengths = table.lookup(keys)
-    wanted = [reference[t] for t in probes if t in reference]
-    assert list(zip(offsets.tolist(), lengths.tolist())) == wanted
+    # an absent key reads as an empty list, at whatever offset
+    assert lengths.tolist() == [reference.get(t, (0, 0))[1] for t in probes]
+    got = [o for t, o in zip(probes, offsets.tolist()) if t in reference]
+    assert got == [reference[t][0] for t in probes if t in reference]
 
 
 @pytest.mark.parametrize("sub_width", [32, 64])
@@ -539,13 +541,20 @@ def test_filter_no_false_negatives_table_radii(tmp_path):
 
 
 def test_filter_monotone_in_radius(tmp_path):
+    # a larger radius lowers the all-lists filter's threshold, so its
+    # candidates only grow; the planned filter may read other lists at
+    # another radius, and keeps every neighbour at each
     ds = random_dataset(4000, 64, seed=53, cluster_count=10, flip_probability=0.08)
     geometry = plan_geometry(64, 8)
     manifest = subcode_build(ds, geometry, 3, tmp_path / "idx")
     q = ds.code(17)
     previous = set()
     for r in range(0, 8):  # s=8: all these keep the filter active
-        current = set(candidate_filter(manifest, QuerySpec(q, r)).tolist())
+        spec = QuerySpec(q, r)
+        truth = set(range_search_oracle(ds, spec).ids.tolist())
+        assert truth <= set(candidate_filter(manifest, spec).tolist())
+        with filter_plans()["k=s"]:
+            current = set(candidate_filter(manifest, spec).tolist())
         assert previous <= current
         previous = current
     manifest.close()
@@ -559,6 +568,77 @@ def test_filter_absent_term_is_empty_list(tmp_path):
     cands = candidate_filter(manifest, QuerySpec(BinaryCode.ones(64), 1))
     assert len(cands) == 0
     manifest.close()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_plan_reads_the_k_shortest_lists_for_k_in_range(data):
+    s = data.draw(st.integers(1, 600), label="s")
+    radius = data.draw(st.integers(0, s - 1), label="radius")
+    length = st.one_of(st.just(0), st.integers(1, 300), st.integers(1, 10**6))
+    lengths = data.draw(st.lists(length, min_size=s, max_size=s), label="lengths")
+    # the query's lists are part of the pass's postings
+    postings_bytes = sum(lengths) + data.draw(st.integers(0, 10**8), label="rest")
+    terms = subcode._plan(lengths, radius, postings_bytes)
+    assert terms == sorted(set(terms)) and set(terms) <= set(range(s))
+    assert radius + 1 <= len(terms) <= s
+    if s - radius == 1:
+        assert terms == list(range(s))
+    rest = set(range(s)) - set(terms)
+    # the shortest lists, absent terms before any present list
+    assert max(lengths[t] for t in terms) <= min((lengths[t] for t in rest), default=2**63)
+    if any(lengths[t] for t in terms):
+        assert all(lengths[t] for t in rest)
+
+
+def test_plan_of_a_pass_without_postings_reads_nothing(tmp_path):
+    # a group of empty shards holds no postings bytes to estimate ids from
+    assert subcode._plan([0] * 8, 3, 0) == list(range(8))
+    # 6 codes in 5 shards leave shards 3 and 4 empty; a group each
+    ds = random_dataset(6, 64, seed=79)
+    singles = mock.patch.object(subcode, "_group_bounds",
+                                lambda counts, geometry: [(k, k + 1) for k in range(len(counts))])
+    with singles:
+        manifest = subcode_build(ds, plan_geometry(64, 8), 5, tmp_path / "idx")
+    with manifest:
+        assert [shard.doc_count for shard in manifest.shards] == [2, 2, 2, 0, 0]
+        for r in range(8):
+            for q in (ds.code(0), BinaryCode.ones(64)):
+                spec = QuerySpec(q, r)
+                assert subcode_range_search(manifest, spec) == range_search_oracle(ds, spec)
+
+
+def test_a_group_of_shards_takes_one_plan_on_summed_lengths(tmp_path):
+    ds = random_dataset(3000, 64, seed=81, cluster_count=20, flip_probability=0.05)
+    manifest = subcode_build(ds, plan_geometry(64, 8), 3, tmp_path / "idx")
+    assert manifest._groups == [tuple(manifest.shards)]
+    plan = subcode._plan
+    calls = []
+
+    def recording(lengths, radius, postings_bytes):
+        calls.append((list(lengths), postings_bytes, plan(lengths, radius, postings_bytes)))
+        return calls[-1][2]
+
+    spec = QuerySpec(ds.code(11), 2)
+    with manifest, mock.patch.object(subcode, "_plan", recording):
+        candidates = candidate_filter(manifest, spec)
+        keys = subcode._term_keys(np.arange(8), spec.query.words.view(np.uint8), 8)
+        lengths = sum(shard._terms.lookup(keys)[1].astype(np.int64) for shard in manifest.shards)
+    [(planned, postings_bytes, terms)] = calls
+    assert planned == lengths.tolist()
+    assert postings_bytes == sum(
+        _shard_paths(manifest.directory, k)[1].stat().st_size for k in range(3))
+    assert 2 < len(terms) < 8
+    assert np.isin(range_search_oracle(ds, spec).ids, candidates).all()
+
+
+def test_plan_on_benchmark_like_lengths_reads_fewer_lists():
+    # a filter-m256-r15 shard: 100k docs, s=32, about 1.6 postings bytes an
+    # id, and the query's lists about 400 ids each
+    rng = np.random.default_rng(80)
+    lengths = rng.integers(400, 900, 32).tolist()
+    terms = subcode._plan(lengths, 15, 100_000 * 32 * 16 // 10)
+    assert 16 < len(terms) < 32
 
 
 # --- verify -------------------------------------------------------------------
@@ -637,6 +717,9 @@ def test_truncated_forward_file_raises_query_error(tmp_path):
     for radius in (0, 64):  # filter + verify, then the bypass scan
         with pytest.raises(QueryError, match="shard 0"):
             subcode_range_search(manifest, QuerySpec(ds.code(last), radius))
+    # verify of every doc streams the rows (the dense path) into one batch
+    with pytest.raises(QueryError, match="shard 0"):
+        verify(manifest, np.arange(ds.count), QuerySpec(ds.code(last), 3))
     manifest.close()
 
 
@@ -836,7 +919,9 @@ def test_both_backends_equal_oracle(data):
     truth = range_search_oracle(ds, spec)
     with tempfile.TemporaryDirectory() as tmp, \
             subcode_build(ds, plan_geometry(width, sub_width), shard_count, tmp) as manifest:
-        assert subcode_range_search(manifest, spec) == truth
+        for plan in filter_plans().values():
+            with plan:
+                assert subcode_range_search(manifest, spec) == truth
     with flat_build(ds, data.draw(st.integers(1, 3), label="workers")) as index:
         assert flat_range_search(index, spec) == truth
 
@@ -889,7 +974,10 @@ def test_a_group_pass_equals_its_shards_passes(data):
                 assert np.isin(truth.ids, candidates).all()
                 assert verify(manifest, candidates, spec) == truth
                 assert subcode_range_search(manifest, spec) == truth
-            results.append(candidates)
+                # each group plans on its own lengths, so only the all-lists
+                # filter gives the same candidates under every grouping
+                with filter_plans()["k=s"]:
+                    results.append(candidate_filter(manifest, spec))
         assert all(np.array_equal(ids, results[0]) for ids in results)
 
 
