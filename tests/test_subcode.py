@@ -869,6 +869,8 @@ def test_verify_equals_oracle_on_candidate_ids(small_indexes, width, data):
     # dense-run gap picks run-by-run reads, streamed spans, or either per batch
     block_rows = data.draw(st.integers(1, 9))
     dense_gap = data.draw(st.sampled_from([0, 4 * width // 8, 1 << 40]))
+    # the filter's uint32 ids, or any integer type holding the ids
+    doc_ids = doc_ids.astype(data.draw(st.sampled_from([np.int64, np.uint32, np.int32])))
     with mock.patch.object(subcode, "SCAN_BLOCK_BYTES", block_rows * width // 8), \
             mock.patch.object(subcode, "DENSE_RUN_GAP_BYTES", dense_gap):
         got = verify(manifest, doc_ids, spec)
