@@ -1,48 +1,58 @@
 """Secondary-memory backend: codes decomposed into fixed-width sub-codes and
-indexed as (position, value) terms in on-disk postings lists across shards.
+indexed as (position, value) terms, one on-disk postings list of DocIds per
+term for the whole index.
 
 Shard k of S holds the DocIds [k * c, min((k + 1) * c, n)) of n codes, for
-c = ceil(n / S), so only trailing shards may be empty. Its local id j, a
-forward-file row and a postings id, is DocId k * c + j.
+c = ceil(n / S), so only trailing shards may be empty. A shard is a unit of
+the build and of the forward files: its local id j, a row of its forward
+file, is DocId k * c + j. The term table and the postings are the index's
+own, and each list is the one a one-shard build writes.
 
 A query runs in two phases over the whole index. candidate_filter looks up
-every shard's postings list for each of the query's s sub-codes, reads only
-the k shortest of them, and keeps documents matching at least k - r of
-those: a code within Hamming distance r can disagree with the query on at
-most r of any k sub-codes. A plan picks k in [r + 1, s] from the lengths the
-lookup returns (see _plan). The filter decodes one group of consecutive
-shards at a time (see FILTER_GROUP_IDS) and returns the survivors as sorted
-DocIds, which verify checks against exact distances read from the forward
-files. When s - r <= 0 the bound is vacuous and the
-query degrades to a streamed scan of each shard's forward file. Shards
-follow DocId order, so every result comes out ascending without a sort.
+the postings lists of the query's s sub-codes, reads only the k shortest of
+them, and keeps documents matching at least k - r of those: a code within
+Hamming distance r can disagree with the query on at most r of any k
+sub-codes. A plan picks k in [r + 1, s] from the lengths the lookup returns
+(see _plan). The filter decodes the lists into one array and returns the
+survivors as sorted DocIds, which verify checks against exact distances read
+from the forward files. When s - r <= 0 the bound is vacuous and the query
+degrades to a streamed scan of each shard's forward file. Shards follow
+DocId order, so every result comes out ascending without a sort.
 
 Index directory layout (all integers little-endian):
   manifest      magic HSI1, version u32, width_bits u32, sub_width u32,
                 shard_count u32, dataset_count u32
   shard-k.fwd   raw codes in local-id order, same packing as a dataset body
-  shard-k.trm   the shard's n term keys, then their n postings list byte
+  index.trm     the index's n term keys, then their n postings list byte
                 lengths as u32. A key is 2 + sub_width / 8 bytes: position
                 and value, both big-endian, so that byte order is
                 (position, value) order; the keys are strictly increasing
-  shard-k.pst   the postings lists back to back in key order; each list is
-                a varint sequence of deltas of strictly increasing local doc
-                ids (first entry is the id itself)
+  index.pst     the postings lists back to back in key order; each list is
+                a varint sequence of deltas of strictly increasing DocIds
+                (first entry is the id itself)
   COMPLETE      marker written last; open refuses directories lacking it
 
 A list's offset is the sum of the lengths before it. Open checks that the
 term table is a whole number of (key, length) pairs, that the keys are
 strictly increasing with every position below s, that no list is empty and
 that the lengths sum to the postings file's size. A value below 2^sub_width
-holds by construction: it is stored in sub_width bits.
+holds by construction: it is stored in sub_width bits. A query checks that
+every DocId it decodes is below the dataset count.
+
+The build indexes one shard at a time into temporary part files and then
+merges them position by position (see _merge_parts), so that its memory
+follows a shard's size rather than the index's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+import shutil
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,9 +72,11 @@ from .core import (
 )
 
 MANIFEST_MAGIC = b"HSI1"
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 MANIFEST_NAME = "manifest"
 COMPLETE_NAME = "COMPLETE"
+TERMS_NAME = "index.trm"
+POSTINGS_NAME = "index.pst"
 _MANIFEST = struct.Struct("<4sIIIII")
 
 DEFAULT_SHARDS = 5
@@ -79,11 +91,13 @@ SCAN_BLOCK_BYTES = 1 << 20
 # 1.2 us, the time a 1 MiB pread spends on 4 KiB.
 DENSE_RUN_GAP_BYTES = 4096
 
-# the filter decodes consecutive shards in one pass while a query is
-# expected to decode at most this many postings ids from them (see
-# _group_bounds): 64 KiB of uint32 ids, a few of the pass's arrays of that
-# size staying well under glibc's heap trim threshold
-FILTER_GROUP_IDS = 16384
+# the build's merge (see _merge_parts) takes about this many ids per round
+# from the shards' part files: a few MiB of a round's arrays
+MERGE_IDS = 1 << 17
+
+# candidate_filter decodes its postings lists in runs of about this many
+# bytes (see _decode_postings)
+DECODE_BYTES = 1 << 14
 
 # the filter's plan (see _plan) counts a candidate as costing verify as much
 # as decoding this many postings ids costs the filter. Forcing k from 17 to
@@ -150,7 +164,7 @@ def _term_keys(positions, values: np.ndarray, sub_width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _TermTable:
-    """One shard's term dictionary: its (position, value) keys, strictly
+    """The index's term dictionary: its (position, value) keys, strictly
     increasing, and the n + 1 cumulative byte ends of their postings lists.
 
     Ends are uint32 whenever the postings file is under 4 GiB.
@@ -170,7 +184,7 @@ class _TermTable:
 
 
 def _open_term_table(trm_path: Path, pst_path: Path, geometry: SubCodeGeometry) -> _TermTable:
-    """Read one shard's term keys and list lengths and check them against
+    """Read the index's term keys and list lengths and check them against
     the geometry and the postings file; raises IndexOpenError naming the
     file on a fault."""
 
@@ -203,48 +217,41 @@ def _open_term_table(trm_path: Path, pst_path: Path, geometry: SubCodeGeometry) 
 
 @dataclass(eq=False)
 class ShardDescriptor:
-    """One horizontal partition: forward file, term table, postings list file.
+    """One horizontal partition and its forward file.
 
-    The shard holds the DocIds [start, start + doc_count); its local id j
-    is DocId start + j.
+    The shard holds the DocIds [start, start + doc_count); its local id j,
+    row j of its forward file, is DocId start + j.
     """
 
     shard_index: int
     start: int
     doc_count: int
-    _terms: _TermTable = field(default=None, repr=False)
-    _pst_fd: int = field(default=-1, repr=False)
     _fwd_fd: int = field(default=-1, repr=False)
 
     def close(self):
-        for attr in ("_pst_fd", "_fwd_fd"):
-            fd = getattr(self, attr)
-            if fd >= 0:
-                os.close(fd)
-                setattr(self, attr, -1)
+        if self._fwd_fd >= 0:
+            os.close(self._fwd_fd)
+            self._fwd_fd = -1
 
 
 @dataclass(eq=False)
 class SubCodeIndexManifest:
-    """Handle to an opened on-disk index; immutable and query-shareable.
-
-    _groups splits shards into the consecutive groups that the filter
-    decodes one at a time (see `_group_bounds`).
-    """
+    """Handle to an opened on-disk index; immutable and query-shareable."""
 
     geometry: SubCodeGeometry
     shard_count: int
     dataset_count: int
     directory: Path
     shards: list
-    _groups: list = field(repr=False)
+    _terms: _TermTable = field(default=None, repr=False)
+    _pst_fd: int = field(default=-1, repr=False)
     _queries: _InFlight = field(default_factory=_InFlight, init=False, repr=False)
 
     def close(self):
-        """Refuse new queries with QueryError, and close the shards' files
+        """Refuse new queries with QueryError, and close the index's files
         once no query is reading them; safe to call twice."""
         if self._queries.close():
-            self._close_shards()
+            self._close_files()
 
     def _enter(self, what: str, spec: QuerySpec = None):
         """Count a reader in, or raise QueryError once the index is closed;
@@ -262,9 +269,12 @@ class SubCodeIndexManifest:
         """Count a reader out; the last one out of a closed index closes
         its files."""
         if self._queries.leave():
-            self._close_shards()
+            self._close_files()
 
-    def _close_shards(self):
+    def _close_files(self):
+        if self._pst_fd >= 0:
+            os.close(self._pst_fd)
+            self._pst_fd = -1
         for shard in self.shards:
             shard.close()
 
@@ -290,14 +300,6 @@ def _shard_ranges(dataset_count: int, shard_count: int) -> list:
     return [(lo, hi - lo) for lo, hi in zip(starts, starts[1:])]
 
 
-def _shard_paths(directory: Path, k: int):
-    return (
-        directory / f"shard-{k}.trm",
-        directory / f"shard-{k}.pst",
-        directory / f"shard-{k}.fwd",
-    )
-
-
 def subcode_build(
     dataset: CodeDataset,
     geometry: SubCodeGeometry,
@@ -306,9 +308,11 @@ def subcode_build(
 ) -> SubCodeIndexManifest:
     """Build a complete on-disk index and return it opened for query.
 
-    Each shard takes one contiguous range of DocIds (see `_shard_ranges`).
-    All files are written before the COMPLETE marker, so an interrupted
-    build leaves a directory that subcode_open refuses.
+    Each shard takes one contiguous range of DocIds (see `_shard_ranges`)
+    and is indexed into part files of its own, which are then merged into
+    the index's term table and postings and removed. All files are written
+    before the COMPLETE marker, so an interrupted build leaves a directory
+    that subcode_open refuses.
     """
     global BUILD_CALLS
     BUILD_CALLS += 1
@@ -327,10 +331,19 @@ def subcode_build(
         marker = directory / COMPLETE_NAME
         if marker.exists():
             marker.unlink()
-        for k, (start, doc_count) in enumerate(_shard_ranges(dataset.count, shard_count)):
-            # a slice of whole rows of the C-ordered codes is contiguous
-            _build_shard(dataset.codes[start : start + doc_count], geometry,
-                         _shard_paths(directory, k))
+        ranges = _shard_ranges(dataset.count, shard_count)
+        # the part files are unnamed, so that no failure can leave them behind
+        with contextlib.ExitStack() as stack:
+            parts, sizes = [], []
+            for k, (start, doc_count) in enumerate(ranges):
+                parts.append([stack.enter_context(tempfile.TemporaryFile(dir=directory))
+                              for _ in range(2)])
+                # a slice of whole rows of the C-ordered codes is contiguous
+                rows = dataset.codes[start : start + doc_count]
+                with open(directory / f"shard-{k}.fwd", "wb") as f:
+                    f.write(rows)
+                sizes.append(_build_part(rows, geometry, *parts[-1]))
+            _merge_parts(parts, sizes, [start for start, _ in ranges], geometry, directory)
         with open(directory / MANIFEST_NAME, "wb") as f:
             f.write(
                 _MANIFEST.pack(
@@ -348,49 +361,124 @@ def subcode_build(
     return subcode_open(directory)
 
 
-def _build_shard(rows, geometry, paths):
-    trm_path, pst_path, fwd_path = paths
-    n = rows.shape[0]
-    with open(fwd_path, "wb") as f:
-        f.write(rows)
+def _part_dtype(sub_width: int) -> np.dtype:
+    """A part file's record of one term of one shard: its value and the
+    number of the shard's docs that hold it."""
+    return np.dtype([("value", f"<u{sub_width // 8}"), ("count", "<u4")])
 
+
+def _build_part(rows, geometry, trm, ids) -> list:
+    """Sort one shard's rows by their value at each position into its two
+    part files: trm gets the records of its terms in (position, value)
+    order, and ids their lists of local ids, ascending, back to back as
+    uint32, which holds any index's ids. Returns the number of records of
+    each position."""
+    n = rows.shape[0]
     sub = subcode_columns(rows, geometry.width_bits, geometry.sub_width)
-    key_parts = []
-    length_parts = []
-    postings_parts = []
+    record = _part_dtype(geometry.sub_width)
+    sizes = []
     for p in range(geometry.subcode_count if n else 0):
         col = np.ascontiguousarray(sub[:, p])
-        # the ids are non-negative, so their int64 bits read as uint64
-        order = np.argsort(col, kind="stable").view(np.uint64)
+        order = np.argsort(col, kind="stable").astype("<u4")
         sorted_vals = col[order]
         is_start = np.empty(n, dtype=bool)
         is_start[0] = True
         np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=is_start[1:])
         starts = np.flatnonzero(is_start)
+        records = np.empty(starts.size, dtype=record)
+        records["value"] = sorted_vals[starts]
+        records["count"] = np.diff(starts, append=n)
+        trm.write(records)
+        ids.write(order)
+        sizes.append(starts.size)
+    return sizes or [0] * geometry.subcode_count
 
-        deltas = np.empty(n, dtype=np.uint64)
-        deltas[1:] = order[1:] - order[:-1]  # wraps across groups; fixed below
-        deltas[starts] = order[starts]
-        encoded = varint.encode(deltas)
-        del deltas  # before the next n-row array: 2 MiB off a 2M-code m=64 build's peak
-        # a list ends one byte after the terminator, a byte below 128, of
-        # its last id
-        last_ids = np.append(starts[1:], n) - 1
-        ends = np.flatnonzero(encoded < 128)[last_ids] + 1
-        postings_parts.append(encoded)
-        key_parts.append(_term_keys(p, sorted_vals[starts], geometry.sub_width))
-        length_parts.append(np.diff(ends, prepend=0).astype("<u4"))
 
-    with open(trm_path, "wb") as f:
-        for part in key_parts + length_parts:
-            f.write(part)
-    with open(pst_path, "wb") as f:
-        for part in postings_parts:
-            f.write(part)
+def _merge_parts(parts, sizes, shard_starts, geometry, directory):
+    """Merge the shards' part files, parts[k] = (trm, ids) of shard k with
+    sizes[k][p] records at position p, into the index's term table and
+    postings.
+
+    Position by position, each round takes from every shard's records the
+    next ones holding at most MERGE_IDS / S ids (at least one record), up
+    to the smallest last value taken from a shard with records left. No
+    later round then holds a term of this round's value range, so the
+    round's records, sorted stably by value, hold every shard's ids of its
+    terms in shard order, which is DocId order.
+    """
+    sw = geometry.sub_width
+    record = _part_dtype(sw)
+    per_shard = max(MERGE_IDS // len(parts), 1)
+    for records, ids in parts:
+        records.flush()  # they are read by pread
+        ids.seek(0)
+    with open(directory / TERMS_NAME, "wb") as trm, \
+            open(directory / POSTINGS_NAME, "wb") as pst, \
+            tempfile.TemporaryFile(dir=directory) as term_lengths:
+        at = [0] * len(parts)
+        for p in range(geometry.subcode_count):
+            end = [a + shard_sizes[p] for a, shard_sizes in zip(at, sizes)]
+            more = True
+            while more:
+                chunks = []
+                for (records, _), a, e in zip(parts, at, end):
+                    chunk = np.frombuffer(os.pread(records.fileno(), min(per_shard, e - a)
+                                                   * record.itemsize, a * record.itemsize),
+                                          dtype=record)
+                    fit = np.searchsorted(np.cumsum(chunk["count"], dtype=np.int64),
+                                          per_shard, side="right")
+                    chunks.append(chunk[: max(int(fit), 1)])
+                lasts = [chunk["value"][-1] for chunk, a, e in zip(chunks, at, end)
+                         if a + chunk.size < e]
+                more = bool(lasts)
+                if more:
+                    cut = min(lasts)
+                    chunks = [chunk[: np.searchsorted(chunk["value"], cut, side="right")]
+                              for chunk in chunks]
+                # each shard's rounds take its records, and so its ids, in order
+                doc_ids = [np.frombuffer(ids.read(4 * int(chunk["count"].sum(dtype=np.int64))),
+                                         dtype="<u4") + start
+                           for (_, ids), chunk, start in zip(parts, chunks, shard_starts)]
+                values, lengths, postings = _merge_round(chunks, doc_ids)
+                trm.write(_term_keys(p, values, sw))
+                term_lengths.write(lengths)
+                pst.write(postings)
+                at = [a + chunk.size for a, chunk in zip(at, chunks)]
+        term_lengths.seek(0)
+        shutil.copyfileobj(term_lengths, trm)
+
+
+def _merge_round(chunks, doc_ids) -> tuple:
+    """The values, the list byte lengths and the postings of the terms of
+    one merge round, in which shard k holds the records chunks[k] and their
+    DocIds back to back in doc_ids[k]."""
+    records = np.concatenate(chunks)
+    if records.size == 0:
+        return records["value"], np.zeros(0, dtype="<u4"), np.zeros(0, dtype=np.uint8)
+    counts = records["count"].astype(np.int64)
+    src = np.cumsum(counts) - counts
+    order = np.argsort(records["value"], kind="stable")
+    values, counts, src = records["value"][order], counts[order], src[order]
+    dst = np.cumsum(counts) - counts
+    # each record's ids move from src to dst as one run
+    moves = np.repeat(src - dst, counts)
+    ids = np.concatenate(doc_ids)[moves + np.arange(moves.size)]
+    new_term = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new_term[1:])
+    firsts = dst[new_term]
+    # each list's deltas, its first entry the id itself
+    deltas = np.empty_like(ids)
+    np.subtract(ids[1:], ids[:-1], out=deltas[1:])
+    deltas[firsts] = ids[firsts]
+    postings = varint.encode(deltas)
+    # a list ends one byte after the terminator, a byte below 128, of its
+    # last id
+    ends = np.flatnonzero(postings < 128)[np.append(firsts[1:], ids.size) - 1] + 1
+    return values[new_term], np.diff(ends, prepend=0).astype("<u4"), postings
 
 
 def subcode_open(directory) -> SubCodeIndexManifest:
-    """Open a completed index: manifest and term tables come into memory,
+    """Open a completed index: manifest and term table come into memory,
     postings and forward files stay on disk and are read per query."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -416,110 +504,85 @@ def subcode_open(directory) -> SubCodeIndexManifest:
         raise IndexOpenError(f"corrupt manifest in {directory}: shard_count is 0")
 
     code_bytes = width_bits // 8
-    shards = []
+    manifest = SubCodeIndexManifest(geometry, shard_count, dataset_count, directory, shards=[])
+    what = POSTINGS_NAME
     try:
-        for k, (start, doc_count) in enumerate(_shard_ranges(dataset_count, shard_count)):
-            trm_path, pst_path, fwd_path = _shard_paths(directory, k)
-            shard = ShardDescriptor(k, start, doc_count)
-            # listed before its files are opened, so that the cleanup below
-            # closes whatever descriptor an open that fails part way leaves
-            shards.append(shard)
-            try:
-                shard._terms = _open_term_table(trm_path, pst_path, geometry)
-                shard._pst_fd = os.open(pst_path, os.O_RDONLY)
-                shard._fwd_fd = os.open(fwd_path, os.O_RDONLY)
-            except FileNotFoundError as exc:
-                name = os.path.basename(exc.filename)
-                raise IndexOpenError(f"missing shard file {name} in {directory}") from exc
-            except OSError as exc:
-                raise IndexOpenError(f"cannot open shard {k} in {directory}: {exc}") from exc
-            if os.fstat(shard._fwd_fd).st_size != doc_count * code_bytes:
-                raise IndexOpenError(
-                    f"truncated forward file {fwd_path.name}: expected "
-                    f"{doc_count * code_bytes} bytes"
-                )
+        try:
+            manifest._terms = _open_term_table(
+                directory / TERMS_NAME, directory / POSTINGS_NAME, geometry)
+            manifest._pst_fd = os.open(directory / POSTINGS_NAME, os.O_RDONLY)
+            for k, (start, doc_count) in enumerate(_shard_ranges(dataset_count, shard_count)):
+                what = f"shard {k}"
+                # listed before its file is opened, so that the cleanup
+                # below closes whatever descriptors a failed open leaves
+                manifest.shards.append(shard := ShardDescriptor(k, start, doc_count))
+                shard._fwd_fd = os.open(directory / f"shard-{k}.fwd", os.O_RDONLY)
+                if os.fstat(shard._fwd_fd).st_size != doc_count * code_bytes:
+                    raise IndexOpenError(
+                        f"truncated forward file shard-{k}.fwd: expected "
+                        f"{doc_count * code_bytes} bytes"
+                    )
+        except FileNotFoundError as exc:
+            name = os.path.basename(exc.filename)
+            raise IndexOpenError(f"missing index file {name} in {directory}") from exc
+        except OSError as exc:
+            raise IndexOpenError(f"cannot open {what} in {directory}: {exc}") from exc
     except Exception:
-        for shard in shards:
-            shard.close()
+        manifest._close_files()
         raise
-    return SubCodeIndexManifest(
-        geometry=geometry,
-        shard_count=shard_count,
-        dataset_count=dataset_count,
-        directory=directory,
-        shards=shards,
-        _groups=[
-            tuple(shards[lo:hi])
-            for lo, hi in _group_bounds([s.doc_count for s in shards], geometry)
-        ],
-    )
+    return manifest
 
 
-def _pread_spans(shard, fd, offsets, lengths, what) -> bytes:
-    """Read the byte spans (offset, length) of one of a shard's files, one
-    pread each, and join them in order."""
+def _pread_spans(fd, offsets, lengths, where) -> bytes:
+    """Read the byte spans (offset, length) of one of the index's files, one
+    pread each, and join them in order; where names the file in errors."""
     if fd < 0:
-        raise QueryError(
-            f"{what} read in shard {shard.shard_index}: the index is closed"
-        )
+        raise QueryError(f"read of {where}: the index is closed")
     data = b"".join(map(os.pread, itertools.repeat(fd, len(lengths)), lengths, offsets))
     want = sum(lengths)
     if len(data) != want:
         raise QueryError(
-            f"{what} read failed in shard {shard.shard_index}: wanted {want} "
-            f"bytes from offset {offsets[0]} on, got {len(data)}"
+            f"read of {where} failed: wanted {want} bytes from offset "
+            f"{offsets[0]} on, got {len(data)}"
         )
     return data
 
 
-def _decode_postings(data: np.ndarray, lens: np.ndarray, heads, steps) -> tuple:
-    """Decode concatenated postings lists in one vectorized pass.
+def _decode_postings(data: np.ndarray, lens: list, dataset_count: int) -> np.ndarray:
+    """Decode concatenated postings lists into their DocIds.
 
     data holds the lists back to back; lens gives each list's byte length,
-    all of them positive. From list heads[i] on, every id is steps[i]
-    larger, so that a group's local ids come out as group ids. Returns the
-    ids as uint32, which holds any index's ids, concatenated in list order,
-    and the index of each list's first id.
+    all of them positive. Returns the DocIds as uint32, which holds any
+    index's ids, concatenated in list order. Raises QueryError on bytes that
+    do not decode or on a DocId not below dataset_count.
+
+    The lists are decoded into one array in runs, those that start in the
+    same DECODE_BYTES of data: a decode's temporaries take about 20 bytes
+    an id.
     """
-    if data.size == 0:
-        return np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.intp)
-    ids, ends = varint.decode_with_ends(data, np.uint32)
-    # one running sum over all lists: each list's first entry, its id
-    # itself, has the previous list's last id taken off (modulo 2**32).
-    # The list starts are summed as int64, the type of ends: searching
-    # int64 for uint64 would compare both as float64.
-    firsts = np.searchsorted(ends, np.cumsum(lens, dtype=np.int64) - lens)
-    lasts = np.add.reduceat(ids, firsts, dtype=np.uint32)[:-1]
-    ids[firsts[1:]] -= lasts
-    if heads:
-        # the running sum carries a step on to every later list, so each
-        # shard's first list takes only the step from the previous base
-        ids[firsts[heads]] += np.array(steps, dtype=np.uint32)
-    return np.cumsum(ids, dtype=np.uint32, out=ids), firsts
-
-
-def _group_bounds(doc_counts, geometry: SubCodeGeometry) -> list:
-    """Split shards with these doc counts into the consecutive groups
-    [lo, hi) that the filter decodes in one pass each. A shard joins the
-    group before it while the postings ids a query is expected to decode
-    from that group, doc_count * s / 2**sub_width per shard for uniform
-    sub-codes, stay within FILTER_GROUP_IDS.
-
-    Skewed sub-codes decode more than this expects: 206.8 ids a query
-    against 122 expected on 2M clustered 64-bit codes at sub_width 16, a
-    factor of 1.7. A planned pass (see _plan) that reads k < s lists
-    decodes fewer ids than the bound expects: 6.4k a shard against 12.5k on
-    filter-m256-r15's 100k-code shards. The bound is kept on doc counts
-    alone, so that a group does not depend on the data or the query."""
-    per_doc = geometry.subcode_count / 2**geometry.sub_width
-    bounds, lo, expected = [], 0, 0.0
-    for k, count in enumerate(doc_counts):
-        if k > lo and expected + count * per_doc > FILTER_GROUP_IDS:
-            bounds.append((lo, k))
-            lo, expected = k, 0.0
-        expected += count * per_doc
-    bounds.append((lo, len(doc_counts)))
-    return bounds
+    ids = np.empty(np.count_nonzero(data < 128), dtype=np.uint32)
+    offsets = [0, *itertools.accumulate(lens)]
+    filled = 0
+    for _, lists in itertools.groupby(range(len(lens)), lambda i: offsets[i] // DECODE_BYTES):
+        lists = list(lists)
+        run = lens[lists[0] : lists[-1] + 1]
+        try:
+            run_ids, ends = varint.decode_with_ends(
+                data[offsets[lists[0]] : offsets[lists[-1] + 1]], np.uint32)
+        except varint.VarintError as exc:
+            raise QueryError(f"corrupt postings in {POSTINGS_NAME}: {exc}") from exc
+        # one running sum over the run's lists: each list's first entry,
+        # its id itself, has the previous list's last id taken off (modulo
+        # 2**32). The list starts are int64, the type of ends: searching
+        # int64 for uint64 would compare both as float64.
+        firsts = np.searchsorted(ends, np.cumsum(run) - run)
+        lasts = np.add.reduceat(run_ids, firsts, dtype=np.uint32)[:-1]
+        run_ids[firsts[1:]] -= lasts
+        np.cumsum(run_ids, dtype=np.uint32, out=ids[filled : filled + run_ids.size])
+        filled += run_ids.size
+    if ids.size and int(ids.max()) >= dataset_count:
+        raise QueryError(f"corrupt postings in {POSTINGS_NAME}: doc id out of range")
+    return ids
 
 
 def _plan(lengths: list, radius: int, postings_bytes: int) -> list:
@@ -567,123 +630,44 @@ def _plan(lengths: list, radius: int, postings_bytes: int) -> list:
     return sorted(order[:k])
 
 
-def _postings_fault(group, chunks) -> QueryError:
-    """The error naming the first shard whose postings bytes do not decode
-    on their own, for a group whose joined bytes failed to decode."""
-    for shard, chunk in zip(group, chunks):
-        try:
-            varint.decode_with_ends(np.frombuffer(chunk, dtype=np.uint8), np.uint32)
-        except varint.VarintError as exc:
-            return QueryError(f"corrupt postings in shard {shard.shard_index}: {exc}")
-    names = ", ".join(str(shard.shard_index) for shard in group)
-    return QueryError(f"corrupt postings in shards {names}")
-
-
-def _decode_group(group, chunks, data, lens) -> tuple:
-    """Decode the postings bytes of a group of two or more shards, joined
-    as data, into ids offset from the group's first DocId: bases[k] + j for
-    local id j of group[k]; lens[k] lists the byte lengths of the lists
-    read from group[k]. Returns the ids and the indexes of the shards whose
-    ids fall outside [bases[k], bases[k + 1])."""
-    bases = [0, *itertools.accumulate(shard.doc_count for shard in group)]
-    # a shard's bytes that end inside a varint would run on into the next
-    # shard's lists
-    if any(chunk[-1] >= 128 for chunk in chunks if chunk):
-        raise _postings_fault(group, chunks)
-    # the shards that have lists, the index of each one's first list, and
-    # the step from the base of the one before it (base 0 for the first)
-    owners = [k for k, shard_lens in enumerate(lens) if shard_lens]
-    heads = list(itertools.accumulate([len(lens[k]) for k in owners[:-1]], initial=0))
-    steps = [bases[k] - bases[j] for j, k in zip([0] + owners, owners)]
-    all_lens = np.array(list(itertools.chain.from_iterable(lens)), dtype=np.int64)
-    try:
-        ids, firsts = _decode_postings(data, all_lens, heads, steps)
-    except varint.VarintError as exc:
-        raise _postings_fault(group, chunks) from exc
-    if not owners:
-        return ids, []
-    segments = firsts[heads]
-    lo = np.array([bases[k] for k in owners], dtype=np.uint32)
-    hi = np.array([bases[k + 1] for k in owners], dtype=np.uint32)
-    bad = (np.minimum.reduceat(ids, segments) < lo) | (np.maximum.reduceat(ids, segments) >= hi)
-    return ids, [owners[i] for i in np.flatnonzero(bad).tolist()]
-
-
 def candidate_filter(index: SubCodeIndexManifest, spec: QuerySpec) -> np.ndarray:
     """Pigeonhole candidate generation over the whole index.
 
-    Looks up each shard's postings list for each of the query's s sub-code
-    terms, reads only the k shortest of them that `_plan` picks, and keeps
-    docs appearing in at least k - radius of those. Absent terms count as
-    empty lists. Returns the surviving DocIds as a sorted, unique uint32
-    array, the input verify takes. Requires s - radius >= 1; callers bypass
-    the filter entirely otherwise. Raises QueryError on a closed index.
+    Looks up the postings list of each of the query's s sub-code terms,
+    reads only the k shortest of them that `_plan` picks, and keeps docs
+    appearing in at least k - radius of those. Absent terms count as empty
+    lists. Returns the surviving DocIds as a sorted, unique uint32 array,
+    the input verify takes. Requires s - radius >= 1; callers bypass the
+    filter entirely otherwise. Raises QueryError on a closed index.
     """
     if index.geometry.subcode_count - spec.radius < 1:
         raise ValueError("candidate_filter requires s - radius >= 1; bypass instead")
     sw = index.geometry.sub_width
     values = spec.query.words.view(f"<u{sw // 8}")
     keys = _term_keys(np.arange(values.size), values, sw)
-    parts = []
     index._enter("candidate_filter", spec)
     try:
-        # one group at a time, each expected to decode at most
-        # FILTER_GROUP_IDS ids; on CPython a thread per group would only add
-        # lock traffic around these small kernels
-        for group in index._groups:
-            found = [shard._terms.lookup(keys) for shard in group]
-            offs = [shard_offs.tolist() for shard_offs, _ in found]
-            lens = [shard_lens.tolist() for _, shard_lens in found]
-            # a group counts in one pass with one threshold, so it takes
-            # one plan, on each term's lengths summed over its shards
-            terms = _plan(
-                lens[0] if len(group) == 1 else [sum(ls) for ls in zip(*lens)],
-                spec.radius,
-                sum(int(shard._terms.ends[-1]) for shard in group),
-            )
-            threshold = len(terms) - spec.radius
-            chunks = []
-            read_lens = []
-            for shard, shard_offs, shard_lens in zip(group, offs, lens):
-                # offsets ascend by construction: the build lays lists out
-                # in (position, value) order and the plan keeps term order
-                read = [t for t in terms if shard_lens[t]]
-                read_lens.append([shard_lens[t] for t in read])
-                chunks.append(_pread_spans(
-                    shard, shard._pst_fd, [shard_offs[t] for t in read], read_lens[-1],
-                    "postings",
-                ))
-            data = np.frombuffer(b"".join(chunks), dtype=np.uint8)
-            # _decode_group gives the same ids and errors for one shard, but
-            # its step and per-shard range check cost 6% of a 5-shard m=256,
-            # sw=8 r=15 query on a 2-vCPU VM, whose shards are a group each
-            if len(group) == 1:
-                try:
-                    ids, _ = _decode_postings(
-                        data, np.array(read_lens[0], dtype=np.int64), [], [])
-                except varint.VarintError as exc:
-                    raise _postings_fault(group, chunks) from exc
-                bad = [0] if ids.size and int(ids.max()) >= group[0].doc_count else []
-            else:
-                ids, bad = _decode_group(group, chunks, data, read_lens)
-            if bad:
-                raise QueryError(
-                    f"corrupt postings in shard {group[bad[0]].shard_index}: "
-                    "doc id out of range"
-                )
-            # each list holds a doc at most once, so a doc in L lists sorts
-            # into a run of L equal ids; when L >= threshold, L - threshold
-            # + 1 of them equal the id threshold - 1 places on
-            ids.sort()
-            span = max(ids.size - threshold + 1, 0)
-            hits = ids if threshold == 1 else ids[:span][ids[:span] == ids[threshold - 1 :]]
-            first = np.ones(hits.size, dtype=bool)
-            np.not_equal(hits[1:], hits[:-1], out=first[1:])
-            # the groups' DocId ranges ascend, so the parts join sorted
-            parts.append(hits[first] + group[0].start)
+        offsets, lengths = (found.tolist() for found in index._terms.lookup(keys))
+        terms = _plan(lengths, spec.radius, int(index._terms.ends[-1]))
+        # offsets ascend by construction: the build lays lists out in
+        # (position, value) order and the plan keeps term order
+        read = [t for t in terms if lengths[t]]
+        read_lens = [lengths[t] for t in read]
+        data = _pread_spans(index._pst_fd, [offsets[t] for t in read], read_lens, POSTINGS_NAME)
+        ids = _decode_postings(np.frombuffer(data, dtype=np.uint8), read_lens,
+                               index.dataset_count)
     finally:
         index._leave()
-    return _joined(parts)
+    # each list holds a doc at most once, so a doc in L lists sorts into a
+    # run of L equal ids; when L >= threshold, L - threshold + 1 of them
+    # equal the id threshold - 1 places on
+    threshold = len(terms) - spec.radius
+    ids.sort()
+    span = max(ids.size - threshold + 1, 0)
+    hits = ids if threshold == 1 else ids[:span][ids[:span] == ids[threshold - 1 :]]
+    first = np.ones(hits.size, dtype=bool)
+    np.not_equal(hits[1:], hits[:-1], out=first[1:])
+    return hits[first]
 
 
 def _read_forward_rows(shard, words, firsts, counts):
@@ -694,9 +678,9 @@ def _read_forward_rows(shard, words, firsts, counts):
     """
     code_bytes = words * 8
     data = _pread_spans(
-        shard, shard._fwd_fd,
+        shard._fwd_fd,
         [first * code_bytes for first in firsts], [n * code_bytes for n in counts],
-        "forward",
+        f"the forward file of shard {shard.shard_index}",
     )
     return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
@@ -747,10 +731,6 @@ def _candidate_rows(shard, words, local_ids, out):
         b_lo, b_hi = np.searchsorted(local_ids, bounds)
         np.take(block, local_ids[b_lo:b_hi] - base, axis=0, out=out[b_lo:b_hi])
         del block  # see _forward_blocks
-
-
-def _joined(parts: list) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _neighbors(hit_ids: list, hit_dists: list) -> NeighborSet:

@@ -9,43 +9,34 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_VARINT_BYTES = 10  # ceil(64 / 7)
-
-
 class VarintError(ValueError):
     """Malformed varint data."""
 
 
-def byte_lengths(values: np.ndarray) -> np.ndarray:
-    """Encoded size in bytes of each value."""
-    values = np.asarray(values, dtype=np.uint64)
-    n = np.ones(values.shape, dtype=np.int64)
-    for k in range(1, MAX_VARINT_BYTES):
-        n += values >= (np.uint64(1) << np.uint64(7 * k))
-    return n
-
-
 def encode(values) -> np.ndarray:
-    """Encode a uint64 array into a uint8 byte array."""
-    values = np.asarray(values, dtype=np.uint64)
+    """Encode an unsigned array, taken at its own width, into uint8 bytes:
+    a row of 7-bit groups a value, whose kept groups, row by row, are the
+    encoding. Group j + 1 is kept, and group j gets the continuation bit,
+    when the value shifted right by 7 * j exceeds 127."""
+    values = np.asarray(values)
+    if values.dtype.kind != "u":
+        values = values.astype(np.uint64)
     if values.size == 0:
         return np.zeros(0, dtype=np.uint8)
-    nbytes = byte_lengths(values)
-    starts = np.zeros(values.size, dtype=np.int64)
-    np.cumsum(nbytes[:-1], out=starts[1:])
-    out = np.zeros(int(starts[-1] + nbytes[-1]), dtype=np.uint8)
-    for j in range(int(nbytes.max())):
-        sel = nbytes > j
-        chunk = (values[sel] >> np.uint64(7 * j)) & np.uint64(0x7F)
-        cont = (nbytes[sel] - 1 > j).astype(np.uint8) << 7
-        out[starts[sel] + j] = chunk.astype(np.uint8) | cont
-    return out
-
-
-def decode(data) -> np.ndarray:
-    """Decode a byte array holding a whole number of varints."""
-    values, _ = decode_with_ends(data)
-    return values
+    width = max(1, -(-int(values.max()).bit_length() // 7))
+    groups = np.empty((values.size, width), dtype=np.uint8)
+    kept = np.empty((values.size, width), dtype=bool)
+    kept[:, 0] = True
+    shifted = values
+    for j in range(width):
+        more = shifted > 0x7F
+        group = (shifted & 0x7F).astype(np.uint8)
+        group |= more.view(np.uint8) << 7
+        groups[:, j] = group
+        if j + 1 < width:
+            kept[:, j + 1] = more
+            shifted = shifted >> 7
+    return groups[kept]
 
 
 def decode_with_ends(data, dtype=np.uint64) -> tuple[np.ndarray, np.ndarray]:

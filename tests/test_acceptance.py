@@ -435,12 +435,15 @@ def test_acceptance_08_kernel_and_format(tmp_path):
     geometry = plan_geometry(64, 8)
     subcode_build(ds, geometry, 3, tmp_path / "i1").close()
     subcode_build(ds, geometry, 3, tmp_path / "i2").close()
-    names = [MANIFEST_NAME] + [
-        f"shard-{k}.{ext}" for k in range(3) for ext in ("fwd", "trm", "pst")
-    ]
-    index_roundtrip = all(
-        (tmp_path / "i1" / n).read_bytes() == (tmp_path / "i2" / n).read_bytes()
-        for n in names
+    # every file either build wrote, by name, with the same bytes
+    names = sorted(path.name for path in (tmp_path / "i1").iterdir())
+    index_roundtrip = (
+        MANIFEST_NAME in names
+        and names == sorted(path.name for path in (tmp_path / "i2").iterdir())
+        and all(
+            (tmp_path / "i1" / n).read_bytes() == (tmp_path / "i2" / n).read_bytes()
+            for n in names
+        )
     )
 
     perturb_ok = True

@@ -36,11 +36,10 @@ from hamsearch import (
 from hamsearch import subcode, varint
 from hamsearch.subcode import (
     COMPLETE_NAME,
-    FILTER_GROUP_IDS,
     MANIFEST_NAME,
+    POSTINGS_NAME,
+    TERMS_NAME,
     SubCodeGeometry,
-    _group_bounds,
-    _shard_paths,
     _shard_ranges,
 )
 
@@ -66,18 +65,6 @@ def test_plan_geometry_rejects_bad_widths():
 def test_plan_geometry_rejects_widths_not_multiple_of_64(width):
     with pytest.raises(ValueError, match="multiple of 64"):
         plan_geometry(width, 8)
-
-
-def test_groups_from_doc_counts_on_the_benchmark_geometries():
-    # filter-m256-r15: 12.5k expected ids a shard, so a group each
-    assert _group_bounds([100_000] * 5, plan_geometry(256, 8)) == [(k, k + 1) for k in range(5)]
-    # filter-m64-sw16-r3: 24 expected ids a shard, so one group
-    assert _group_bounds([400_000] * 5, plan_geometry(64, 16)) == [(0, 5)]
-    # acceptance 3's m=64, sw=8 index: 12.5k expected ids a shard
-    assert _group_bounds([400_000] * 5, plan_geometry(64, 8)) == [(k, k + 1) for k in range(5)]
-    # up to 268M codes at m=64, sw=16 make one group, empty shards join any
-    assert _group_bounds([2**28 // 5] * 5 + [0], plan_geometry(64, 16)) == [(0, 6)]
-    assert _group_bounds([0, 100_000, 0, 100_000], plan_geometry(256, 8)) == [(0, 3), (3, 4)]
 
 
 def test_shard_ranges_tile_the_doc_ids_in_order(tmp_path):
@@ -121,21 +108,20 @@ def _read_terms(trm, sub_width):
 
 
 def _edit_terms(directory, sub_width, edit):
-    trm = directory / "shard-0.trm"
+    trm = directory / TERMS_NAME
     keys, lengths = _read_terms(trm, sub_width)
     edit(keys, lengths)
     trm.write_bytes(keys.tobytes() + lengths.tobytes())
 
 
-def _postings_lists(manifest, shard, sub_width):
-    """(keys, the doc ids of each term's postings list), decoded from the
-    shard's files."""
-    trm_path, pst_path, _ = _shard_paths(manifest.directory, shard.shard_index)
-    keys, lengths = _read_terms(trm_path, sub_width)
-    data = np.fromfile(pst_path, dtype=np.uint8)
+def _postings_lists(directory, sub_width):
+    """(keys, the DocIds of each term's postings list), decoded from the
+    index's files."""
+    keys, lengths = _read_terms(directory / TERMS_NAME, sub_width)
+    data = np.fromfile(directory / POSTINGS_NAME, dtype=np.uint8)
     assert int(lengths.sum()) == data.size
     lists = np.split(data, np.cumsum(lengths)[:-1]) if keys.size else []
-    return keys, [np.cumsum(varint.decode(part)) for part in lists]
+    return keys, [np.cumsum(varint.decode_with_ends(part)[0]) for part in lists]
 
 
 # --- build ------------------------------------------------------------------
@@ -152,32 +138,60 @@ def test_build_identical_codes_single_postings_list(tmp_path):
     codes = np.tile(np.array([[0xDEADBEEF]], dtype=np.uint64), (10, 1))
     ds = CodeDataset(64, codes)
     manifest = subcode_build(ds, plan_geometry(64, 16), 3, tmp_path / "idx")
-    # each present (position, value) term lists every doc of its shard
-    for shard in manifest.shards:
-        keys, lists = _postings_lists(manifest, shard, 16)
-        assert keys.size == 4  # one value per position
-        for ids in lists:
-            assert ids.tolist() == list(range(shard.doc_count))
+    # each present (position, value) term lists every doc of every shard
+    keys, lists = _postings_lists(manifest.directory, 16)
+    assert keys.size == 4  # one value per position
+    for ids in lists:
+        assert ids.tolist() == list(range(10))
     result = subcode_range_search(manifest, QuerySpec(ds.code(0), 0))
     assert len(result) == 10
     manifest.close()
 
 
 def test_postings_partition_property(tmp_path):
-    # per shard and position, the decoded postings lists over all values
-    # partition the shard's docs: every doc has exactly one value per position
+    # per position, the decoded postings lists over all values partition
+    # the index's docs: every doc has exactly one value per position
     ds = random_dataset(100_000, 64, seed=40)
     geometry = plan_geometry(64, 16)
     manifest = subcode_build(ds, geometry, 5, tmp_path / "idx")
-    for shard in manifest.shards:
-        keys, lists = _postings_lists(manifest, shard, 16)
-        for p in range(geometry.subcode_count):
-            at_p = [ids for ids, pos in zip(lists, keys["position"]) if pos == p]
-            assert np.array_equal(np.sort(np.concatenate(at_p)), np.arange(shard.doc_count))
-        # term table sorted by (position, value)
-        pairs = list(zip(keys["position"].tolist(), keys["value"].tolist()))
-        assert pairs == sorted(pairs)
+    keys, lists = _postings_lists(manifest.directory, 16)
+    for p in range(geometry.subcode_count):
+        at_p = [ids for ids, pos in zip(lists, keys["position"]) if pos == p]
+        ids = np.concatenate(at_p)
+        assert np.array_equal(np.sort(ids), np.arange(ds.count))
+        # and each list holds the docs whose value it names, ascending
+        sizes = [list_ids.size for list_ids in at_p]
+        named = np.repeat(keys["value"][keys["position"] == p], sizes)
+        assert np.array_equal(ds.codes.view("<u2")[ids, p], named)
+        rises = np.diff(ids.astype(np.int64)) > 0
+        assert np.all(rises | (np.diff(named.astype(np.int64)) != 0))
+    # term table sorted by (position, value)
+    pairs = list(zip(keys["position"].tolist(), keys["value"].tolist()))
+    assert pairs == sorted(pairs)
     manifest.close()
+
+
+@pytest.mark.parametrize("merge_ids", [1, 7, subcode.MERGE_IDS])
+@pytest.mark.parametrize("width, sub_width, count, empty_shards", [
+    (64, 16, 3000, 0),
+    (256, 8, 2000, 0),
+    (64, 16, 3, 2),
+    (256, 8, 7, 1),
+])
+def test_any_shard_count_writes_the_one_shard_terms_and_postings(
+        tmp_path, width, sub_width, count, empty_shards, merge_ids):
+    # the merge of five shards' parts, in rounds of any size, writes the
+    # bytes a one-shard build writes, trailing empty shards included
+    ds = random_dataset(count, width, seed=82, cluster_count=5, flip_probability=0.05)
+    geometry = plan_geometry(width, sub_width)
+    assert [n for _, n in _shard_ranges(count, 5)].count(0) == empty_shards
+    with mock.patch.object(subcode, "MERGE_IDS", merge_ids):
+        subcode_build(ds, geometry, 5, tmp_path / "five").close()
+    subcode_build(ds, geometry, 1, tmp_path / "one").close()
+    for name in (TERMS_NAME, POSTINGS_NAME):
+        five = (tmp_path / "five" / name).read_bytes()
+        assert len(five) > 0
+        assert five == (tmp_path / "one" / name).read_bytes()
 
 
 def test_build_is_deterministic(tmp_path):
@@ -187,9 +201,12 @@ def test_build_is_deterministic(tmp_path):
     b = subcode_build(ds, geometry, 4, tmp_path / "b")
     a.close()
     b.close()
-    for name in [MANIFEST_NAME] + [
-        f"shard-{k}.{ext}" for k in range(4) for ext in ("fwd", "trm", "pst")
-    ]:
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+    # no part file of the build is left behind
+    assert names == sorted([COMPLETE_NAME, MANIFEST_NAME, TERMS_NAME, POSTINGS_NAME]
+                           + [f"shard-{k}.fwd" for k in range(4)])
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -215,43 +232,40 @@ def test_corrupt_postings_detected_at_query(tmp_path):
     ds = random_dataset(500, 64, seed=49)
     geometry = plan_geometry(64, 8)
     subcode_build(ds, geometry, 2, tmp_path / "idx").close()
-    pst = tmp_path / "idx" / "shard-0.pst"
+    pst = tmp_path / "idx" / POSTINGS_NAME
     raw = bytearray(pst.read_bytes())
     raw[: len(raw)] = b"\x80" * len(raw)  # endless continuation bytes
     pst.write_bytes(bytes(raw))
     manifest = subcode_open(tmp_path / "idx")
-    with pytest.raises(QueryError, match="shard 0"):
+    with pytest.raises(QueryError, match=f"corrupt postings in {POSTINGS_NAME}"):
         subcode_range_search(manifest, QuerySpec(ds.code(0), 1))
     manifest.close()
 
 
 
-def test_group_postings_id_in_the_next_shards_range_is_refused(tmp_path):
-    # shard 0's ids must stay in shard 0's part of the group's ids: one that
-    # lands in shard 1's part would otherwise verify shard 1's row
-    ds = random_dataset(200, 64, seed=75)
+def test_postings_doc_id_past_the_dataset_count_is_refused(tmp_path):
+    # a DocId at or past the dataset count names no forward-file row
+    ds = random_dataset(100, 64, seed=75)
     geometry = plan_geometry(64, 16)
     subcode_build(ds, geometry, 2, tmp_path / "idx").close()
-    pst = _shard_paths(tmp_path / "idx", 0)[1]
+    pst = tmp_path / "idx" / POSTINGS_NAME
     manifest = subcode_open(tmp_path / "idx")
-    shard = manifest.shards[0]
-    assert manifest._groups == [tuple(manifest.shards)] and shard.doc_count == 100
-    # a list of one 1-byte id: that id is a local id below 100
-    ends = shard._terms.ends.astype(np.int64)
+    # a list of one 1-byte id: that id is a DocId below 100
+    ends = manifest._terms.ends.astype(np.int64)
     j = int(np.flatnonzero(np.diff(ends) == 1)[0])
     raw = bytearray(pst.read_bytes())
-    local = raw[ends[j]]
-    key = shard._terms.keys[j : j + 1].view(subcode._key_dtype(16))[0]
-    query = ds.code(local)  # shard 0's local ids are its DocIds
+    key = manifest._terms.keys[j : j + 1].view(subcode._key_dtype(16))[0]
+    query = ds.code(raw[ends[j]])
     assert int(query.words.view("<u2")[key["position"]]) == key["value"]
     spec = QuerySpec(query, 3)
     assert subcode_range_search(manifest, spec) == range_search_oracle(ds, spec)
     manifest.close()
-    raw[ends[j]] = 120  # group id 120 is shard 1's local id 20
-    pst.write_bytes(bytes(raw))
-    with subcode_open(tmp_path / "idx") as manifest:
-        with pytest.raises(QueryError, match="shard 0: doc id out of range"):
-            subcode_range_search(manifest, spec)
+    for doc_id in (100, 120):
+        raw[ends[j]] = doc_id
+        pst.write_bytes(bytes(raw))
+        with subcode_open(tmp_path / "idx") as manifest:
+            with pytest.raises(QueryError, match="doc id out of range"):
+                subcode_range_search(manifest, spec)
 
 
 # --- open -------------------------------------------------------------------
@@ -278,8 +292,12 @@ def test_open_empty_directory_missing_manifest(tmp_path):
 def test_open_missing_postings_file_named(tmp_path):
     ds = random_dataset(100, 64, seed=45)
     subcode_build(ds, plan_geometry(64, 16), 3, tmp_path / "idx").close()
-    (tmp_path / "idx" / "shard-1.pst").unlink()
-    with pytest.raises(IndexOpenError, match="shard-1.pst"):
+    (tmp_path / "idx" / POSTINGS_NAME).unlink()
+    with pytest.raises(IndexOpenError, match=f"missing index file {POSTINGS_NAME}"):
+        subcode_open(tmp_path / "idx")
+    subcode_build(ds, plan_geometry(64, 16), 3, tmp_path / "idx").close()
+    (tmp_path / "idx" / "shard-1.fwd").unlink()
+    with pytest.raises(IndexOpenError, match="missing index file shard-1.fwd"):
         subcode_open(tmp_path / "idx")
 
 
@@ -297,7 +315,8 @@ def test_open_failure_is_typed_and_closes_descriptors(tmp_path, monkeypatch):
 
     before = len(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(subcode.os, "open", open_out_of_descriptors)
-    # shard 1's postings file is open by then; the failure must close it too
+    # the postings file and shard 0's forward file are open by then; the
+    # failure must close them too
     with pytest.raises(IndexOpenError, match="shard 1"):
         subcode_open(tmp_path / "idx")
     monkeypatch.undo()
@@ -345,6 +364,21 @@ def test_open_rejects_version_1(tmp_path):
             subcode_open(tmp_path / "idx")
 
 
+def test_open_rejects_a_version_3_directory(tmp_path):
+    # a one-shard version-3 index held these same bytes under per-shard
+    # names; version 3 kept a term table and postings file per shard
+    ds = random_dataset(100, 64, seed=48)
+    directory = tmp_path / "idx"
+    subcode_build(ds, plan_geometry(64, 16), 1, directory).close()
+    (directory / TERMS_NAME).rename(directory / "shard-0.trm")
+    (directory / POSTINGS_NAME).rename(directory / "shard-0.pst")
+    raw = bytearray((directory / MANIFEST_NAME).read_bytes())
+    raw[4:8] = (3).to_bytes(4, "little")
+    (directory / MANIFEST_NAME).write_bytes(bytes(raw))
+    with pytest.raises(IndexOpenError, match="unsupported index version 3"):
+        subcode_open(directory)
+
+
 def test_open_rejects_zero_shard_count(tmp_path):
     ds = random_dataset(100, 64, seed=48)
     subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx").close()
@@ -377,9 +411,9 @@ def _append_byte(path):
         (16, lambda d: _edit_terms(d, 16, lambda k, n: n.__setitem__(3, 0)),
          "empty postings list"),
         (16, lambda d: _edit_terms(d, 16, lambda k, n: n.__setitem__(0, n[0] + 1)),
-         "shard-0.trm: list lengths do not sum to the size of shard-0.pst"),
-        (8, lambda d: _append_byte(d / "shard-0.pst"), "size of shard-0.pst"),
-        (16, lambda d: _append_byte(d / "shard-0.trm"), "truncated term table shard-0.trm"),
+         "index.trm: list lengths do not sum to the size of index.pst"),
+        (8, lambda d: _append_byte(d / POSTINGS_NAME), "size of index.pst"),
+        (16, lambda d: _append_byte(d / TERMS_NAME), "truncated term table index.trm"),
     ],
     ids=["unsorted", "duplicate", "position", "empty_list", "length_sum", "postings_size",
          "truncated"],
@@ -397,7 +431,7 @@ def test_term_table_bit_flips_answer_or_fail_typed(tmp_path, sub_width):
     ds = random_dataset(4000, 64, seed=68, cluster_count=40, flip_probability=0.05)
     geometry = plan_geometry(64, sub_width)
     subcode_build(ds, geometry, 2, tmp_path / "idx").close()
-    paths = sorted((tmp_path / "idx").glob("shard-*.trm"))
+    paths = [tmp_path / "idx" / TERMS_NAME]
     originals = [p.read_bytes() for p in paths]
     file_ends = np.cumsum([len(raw) for raw in originals])
     key_bytes = 2 + sub_width // 8
@@ -592,44 +626,16 @@ def test_plan_reads_the_k_shortest_lists_for_k_in_range(data):
 
 
 def test_plan_of_a_pass_without_postings_reads_nothing(tmp_path):
-    # a group of empty shards holds no postings bytes to estimate ids from
+    # an empty index holds no postings bytes to estimate ids from
     assert subcode._plan([0] * 8, 3, 0) == list(range(8))
-    # 6 codes in 5 shards leave shards 3 and 4 empty; a group each
+    # 6 codes in 5 shards leave shards 3 and 4 empty
     ds = random_dataset(6, 64, seed=79)
-    singles = mock.patch.object(subcode, "_group_bounds",
-                                lambda counts, geometry: [(k, k + 1) for k in range(len(counts))])
-    with singles:
-        manifest = subcode_build(ds, plan_geometry(64, 8), 5, tmp_path / "idx")
-    with manifest:
+    with subcode_build(ds, plan_geometry(64, 8), 5, tmp_path / "idx") as manifest:
         assert [shard.doc_count for shard in manifest.shards] == [2, 2, 2, 0, 0]
         for r in range(8):
             for q in (ds.code(0), BinaryCode.ones(64)):
                 spec = QuerySpec(q, r)
                 assert subcode_range_search(manifest, spec) == range_search_oracle(ds, spec)
-
-
-def test_a_group_of_shards_takes_one_plan_on_summed_lengths(tmp_path):
-    ds = random_dataset(3000, 64, seed=81, cluster_count=20, flip_probability=0.05)
-    manifest = subcode_build(ds, plan_geometry(64, 8), 3, tmp_path / "idx")
-    assert manifest._groups == [tuple(manifest.shards)]
-    plan = subcode._plan
-    calls = []
-
-    def recording(lengths, radius, postings_bytes):
-        calls.append((list(lengths), postings_bytes, plan(lengths, radius, postings_bytes)))
-        return calls[-1][2]
-
-    spec = QuerySpec(ds.code(11), 2)
-    with manifest, mock.patch.object(subcode, "_plan", recording):
-        candidates = candidate_filter(manifest, spec)
-        keys = subcode._term_keys(np.arange(8), spec.query.words.view(np.uint8), 8)
-        lengths = sum(shard._terms.lookup(keys)[1].astype(np.int64) for shard in manifest.shards)
-    [(planned, postings_bytes, terms)] = calls
-    assert planned == lengths.tolist()
-    assert postings_bytes == sum(
-        _shard_paths(manifest.directory, k)[1].stat().st_size for k in range(3))
-    assert 2 < len(terms) < 8
-    assert np.isin(range_search_oracle(ds, spec).ids, candidates).all()
 
 
 def test_plan_on_benchmark_like_lengths_reads_fewer_lists():
@@ -711,7 +717,7 @@ def test_truncated_forward_file_raises_query_error(tmp_path):
     ds = random_dataset(1000, 64, seed=64)
     manifest = subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx")
     shard = manifest.shards[0]
-    os.truncate(_shard_paths(manifest.directory, 0)[2], shard.doc_count * 8 // 2)
+    os.truncate(manifest.directory / "shard-0.fwd", shard.doc_count * 8 // 2)
     # the last doc of shard 0 now lies past the end of its forward file
     last = shard.start + shard.doc_count - 1
     for radius in (0, 64):  # filter + verify, then the bypass scan
@@ -931,10 +937,10 @@ def test_both_backends_equal_oracle(data):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_a_group_pass_equals_its_shards_passes(data):
+def test_a_pass_over_any_shard_count_equals_the_one_shard_pass(data):
     width = data.draw(st.sampled_from([64, 128]), label="width")
     sub_width = data.draw(st.sampled_from([8, 16]), label="sub_width")
-    shard_count = data.draw(st.integers(1, 7), label="shard_count")
+    shard_count = data.draw(st.integers(1, 6), label="shard_count")
     # small counts leave shards empty
     count = data.draw(st.one_of(st.integers(0, 7), st.integers(8, 300)), label="count")
     clusters = data.draw(st.sampled_from([0, 3]), label="clusters")
@@ -950,37 +956,25 @@ def test_a_group_pass_equals_its_shards_passes(data):
         label="query",
     )
     spec = QuerySpec(query, radius)
-    # open's groups from any split into consecutive shards, and from each
-    # group bound: FILTER_GROUP_IDS 0 puts every non-empty shard in a group
-    # of its own
-    cuts = data.draw(st.lists(st.booleans(), min_size=shard_count - 1,
-                              max_size=shard_count - 1), label="cuts")
-    bounds = [0] + [k for k, cut in enumerate(cuts, 1) if cut] + [shard_count]
-    drawn = mock.patch.object(subcode, "_group_bounds",
-                              lambda counts, geometry: list(zip(bounds, bounds[1:])))
-    plans = [drawn] + [mock.patch.object(subcode, "FILTER_GROUP_IDS", ids)
-                       for ids in (0, 20, FILTER_GROUP_IDS)]
     block_rows = data.draw(st.integers(1, 9), label="block_rows")
+    # runs of one list each, of a few lists, or of every list
+    decode_bytes = data.draw(st.sampled_from([1, 40, subcode.DECODE_BYTES]), label="decode")
     truth = range_search_oracle(ds, spec)
-    with tempfile.TemporaryDirectory() as tmp:
-        subcode_build(ds, geometry, shard_count, tmp).close()
-        results = []
-        for plan in plans:
+    with tempfile.TemporaryDirectory() as tmp, \
+            subcode_build(ds, geometry, shard_count, Path(tmp) / "drawn") as manifest, \
+            subcode_build(ds, geometry, 1, Path(tmp) / "one") as one_shard, \
+            mock.patch.object(subcode, "SCAN_BLOCK_BYTES", block_rows * width // 8), \
+            mock.patch.object(subcode, "DECODE_BYTES", decode_bytes):
+        for plan in filter_plans().values():
             with plan:
-                manifest = subcode_open(tmp)
-            with manifest, mock.patch.object(subcode, "SCAN_BLOCK_BYTES",
-                                             block_rows * width // 8):
                 candidates = candidate_filter(manifest, spec)
                 assert candidates.dtype == np.uint32
                 assert np.all(candidates[1:] > candidates[:-1])
                 assert np.isin(truth.ids, candidates).all()
                 assert verify(manifest, candidates, spec) == truth
                 assert subcode_range_search(manifest, spec) == truth
-                # each group plans on its own lengths, so only the all-lists
-                # filter gives the same candidates under every grouping
-                with filter_plans()["k=s"]:
-                    results.append(candidate_filter(manifest, spec))
-        assert all(np.array_equal(ids, results[0]) for ids in results)
+                # the shards split only the forward files
+                assert np.array_equal(candidate_filter(one_shard, spec), candidates)
 
 
 def _composed_search(index, spec):

@@ -9,7 +9,15 @@ from hamsearch import varint
 def test_known_byte_lengths():
     values = np.array([0, 1, 127, 128, 16383, 16384, 2**21 - 1, 2**21, 2**63, 2**64 - 1],
                       dtype=np.uint64)
-    assert varint.byte_lengths(values).tolist() == [1, 1, 1, 2, 2, 3, 3, 4, 10, 10]
+    encoded = varint.encode(values)
+    # a varint ends at its first byte below 128
+    lengths = np.diff(np.flatnonzero(encoded < 128), prepend=-1)
+    assert lengths.tolist() == [1, 1, 1, 2, 2, 3, 3, 4, 10, 10]
+    # each value alone takes as many bytes, at any unsigned width holding it
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        fits = values <= np.iinfo(dtype).max
+        assert [varint.encode(values[fits][i : i + 1].astype(dtype)).size
+                for i in range(int(fits.sum()))] == lengths[fits].tolist()
 
 
 def test_single_value_encodings():
@@ -24,28 +32,28 @@ def test_roundtrip_random():
     for _ in range(20):
         scale = int(rng.integers(1, 63))
         values = rng.integers(0, 2**scale, size=int(rng.integers(1, 5000)), dtype=np.uint64)
-        assert np.array_equal(varint.decode(varint.encode(values)), values)
+        assert np.array_equal(varint.decode_with_ends(varint.encode(values))[0], values)
 
 
 def test_roundtrip_extremes():
     values = np.array([0, 2**64 - 1, 1, 2**63, 0], dtype=np.uint64)
-    assert np.array_equal(varint.decode(varint.encode(values)), values)
+    assert np.array_equal(varint.decode_with_ends(varint.encode(values))[0], values)
 
 
 def test_empty():
     assert varint.encode(np.array([], dtype=np.uint64)).size == 0
-    assert varint.decode(np.array([], dtype=np.uint8)).size == 0
+    assert varint.decode_with_ends(np.array([], dtype=np.uint8))[0].size == 0
 
 
 def test_unterminated_raises():
     with pytest.raises(varint.VarintError, match="unterminated"):
-        varint.decode(np.array([0x80], dtype=np.uint8))
+        varint.decode_with_ends(np.array([0x80], dtype=np.uint8))
 
 
 def test_overlong_raises():
     data = np.array([0x80] * 10 + [0x01], dtype=np.uint8)
     with pytest.raises(varint.VarintError, match="longer"):
-        varint.decode(data)
+        varint.decode_with_ends(data)
 
 
 def test_decode_with_ends_splits_concatenated_streams():
