@@ -14,10 +14,12 @@ them, and keeps documents matching at least k - r of those: a code within
 Hamming distance r can disagree with the query on at most r of any k
 sub-codes. A plan picks k in [r + 1, s] from the lengths the lookup returns
 (see _plan). The filter decodes the lists into one array and returns the
-survivors as sorted DocIds, which verify checks against exact distances read
-from the forward files. When s - r <= 0 the bound is vacuous and the query
-degrades to a streamed scan of each shard's forward file. Shards follow
-DocId order, so every result comes out ascending without a sort.
+survivors as sorted DocIds. verify reads their codes in batches whatever
+shards they span: one pread per run of consecutive ids, a run ending where
+a shard starts, or, when the runs lie close together, a stream of the rows
+they span. When s - r <= 0 the bound is vacuous and the query degrades to a
+streamed scan of each shard's forward file. Shards follow DocId order, so
+every result comes out ascending without a sort.
 
 Index directory layout (all integers little-endian):
   manifest      magic HSI1, version u32, width_bits u32, sub_width u32,
@@ -533,19 +535,20 @@ def subcode_open(directory) -> SubCodeIndexManifest:
     return manifest
 
 
-def _pread_spans(fd, offsets, lengths, where) -> bytes:
-    """Read the byte spans (offset, length) of one of the index's files, one
-    pread each, and join them in order; where names the file in errors."""
-    if fd < 0:
-        raise QueryError(f"read of {where}: the index is closed")
-    data = b"".join(map(os.pread, itertools.repeat(fd, len(lengths)), lengths, offsets))
-    want = sum(lengths)
-    if len(data) != want:
-        raise QueryError(
-            f"read of {where} failed: wanted {want} bytes from offset "
-            f"{offsets[0]} on, got {len(data)}"
-        )
-    return data
+def _pread_spans(fds, offsets, lengths, where) -> np.ndarray:
+    """Read the byte spans (fd, offset, length) of the index's files, one
+    pread each, and join them in order into a read-only uint8 array;
+    where(i) names the file of span i in errors."""
+    try:
+        parts = list(map(os.pread, fds, lengths, offsets))
+    except OSError as exc:
+        raise QueryError(f"read of the index's files failed: {exc}") from exc
+    data = b"".join(parts)
+    if len(data) != sum(lengths):
+        i = next(i for i, part in enumerate(parts) if len(part) != lengths[i])
+        raise QueryError(f"read of {where(i)} failed: wanted {lengths[i]} bytes from "
+                         f"offset {offsets[i]}, got {len(parts[i])}")
+    return np.frombuffer(data, dtype=np.uint8)
 
 
 def _decode_postings(data: np.ndarray, lens: list, dataset_count: int) -> np.ndarray:
@@ -653,9 +656,9 @@ def candidate_filter(index: SubCodeIndexManifest, spec: QuerySpec) -> np.ndarray
         # (position, value) order and the plan keeps term order
         read = [t for t in terms if lengths[t]]
         read_lens = [lengths[t] for t in read]
-        data = _pread_spans(index._pst_fd, [offsets[t] for t in read], read_lens, POSTINGS_NAME)
-        ids = _decode_postings(np.frombuffer(data, dtype=np.uint8), read_lens,
-                               index.dataset_count)
+        data = _pread_spans(itertools.repeat(index._pst_fd), [offsets[t] for t in read],
+                            read_lens, lambda _: POSTINGS_NAME)
+        ids = _decode_postings(data, read_lens, index.dataset_count)
     finally:
         index._leave()
     # each list holds a doc at most once, so a doc in L lists sorts into a
@@ -670,67 +673,66 @@ def candidate_filter(index: SubCodeIndexManifest, spec: QuerySpec) -> np.ndarray
     return hits[first]
 
 
-def _read_forward_rows(shard, words, firsts, counts):
-    """Read the forward rows [first, first + count) of each run, in order.
-
-    One pread per run, so only the requested rows are read. The reads are
-    joined back to back and returned as a read-only (rows, words) view.
-    """
-    code_bytes = words * 8
-    data = _pread_spans(
-        shard._fwd_fd,
-        [first * code_bytes for first in firsts], [n * code_bytes for n in counts],
-        f"the forward file of shard {shard.shard_index}",
-    )
-    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
-
-
 def _forward_blocks(shard, words, first, end):
     """Yield (base, rows) for the forward rows [first, end), one pread of
-    at most SCAN_BLOCK_BYTES per block; rows[i] is row base + i.
+    at most SCAN_BLOCK_BYTES per block; rows[i] is row base + i, and rows
+    is a read-only (rows, words) view.
 
     The caller drops each block before it asks for the next, and this
     generator keeps none it has yielded: two blocks plus the kernel's
     temporaries outgrow glibc's heap trim threshold, so the heap would
     shrink and fault its pages back in on every block.
     """
-    rows_per_block = max(1, SCAN_BLOCK_BYTES // (words * 8))
+    code_bytes = words * 8
+    rows_per_block = max(1, SCAN_BLOCK_BYTES // code_bytes)
+    where = f"the forward file of shard {shard.shard_index}"
     for base in range(first, end, rows_per_block):
-        n = min(rows_per_block, end - base)
-        yield base, _read_forward_rows(shard, words, [base], [n])
+        count = min(rows_per_block, end - base)
+        # read inline: no local of this frame may name a block it yields
+        yield base, _pread_spans((shard._fwd_fd,), (base * code_bytes,), (count * code_bytes,),
+                                 lambda _: where).view("<u8").reshape(-1, words)
 
 
-def _candidate_rows(shard, words, local_ids, out):
-    """Write the codes of sorted unique local ids, at least one and at most
-    SCAN_BLOCK_BYTES of codes, into out, a (ids, words) array.
+def _candidate_rows(index, words, doc_ids, bounds):
+    """The codes of strictly increasing DocIds, at least one and at most
+    SCAN_BLOCK_BYTES of codes, as an (ids, words) array; bounds holds the
+    shards' starts and then the dataset count, typed as verify types them.
 
-    Ids whose runs of consecutive ids lie far apart are read run by run.
-    Dense ids stream the rows they span block by block instead and pick
-    their own rows out of each block. A block may hold none of them; the
-    rows such gaps add to the read are within the DENSE_RUN_GAP_BYTES per
-    run that made the ids dense.
+    Runs of consecutive ids, cut where a shard starts, that lie far apart
+    are read with one pread each in one pass over all shards. Dense ids
+    stream the rows they span, shard by shard and block by block, instead
+    and pick their own rows out of each block. A block may hold none of
+    them; the rows such gaps add to the read are within the
+    DENSE_RUN_GAP_BYTES per run that made the ids dense.
     """
     code_bytes = words * 8
-    new_run = np.ones(local_ids.size, dtype=bool)
-    np.not_equal(np.diff(local_ids), 1, out=new_run[1:])
-    first, end = int(local_ids[0]), int(local_ids[-1]) + 1
-    runs = np.count_nonzero(new_run)
-    if runs * DENSE_RUN_GAP_BYTES < (end - first) * code_bytes:
-        run_starts = np.flatnonzero(new_run)
-        run_counts = np.diff(np.append(run_starts, local_ids.size))
-        out[...] = _read_forward_rows(
-            shard, words, local_ids[run_starts].tolist(), run_counts.tolist()
-        )
-        return
-    # bounds typed like the ids: Python int bounds make searchsorted cast
-    # every id to int64 on every block, 6 us a block of 25k uint32 ids on a
-    # 2-vCPU VM. At least uint32, which holds the row after any id.
-    bound_type = np.promote_types(local_ids.dtype, np.uint32)
-    for base, block in _forward_blocks(shard, words, first, end):
-        bounds = np.array((base, base + block.shape[0]), dtype=bound_type)
-        b_lo, b_hi = np.searchsorted(local_ids, bounds)
-        np.take(block, local_ids[b_lo:b_hi] - base, axis=0, out=out[b_lo:b_hi])
-        del block  # see _forward_blocks
+    # the entry past the last id ends the last run
+    new_run = np.ones(doc_ids.size + 1, dtype=bool)
+    np.not_equal(np.diff(doc_ids), 1, out=new_run[1:-1])
+    new_run[np.searchsorted(doc_ids, bounds)] = True
+    first, end = int(doc_ids[0]), int(doc_ids[-1]) + 1
+    if (np.count_nonzero(new_run) - 1) * DENSE_RUN_GAP_BYTES < (end - first) * code_bytes:
+        ends = np.flatnonzero(new_run)
+        firsts = doc_ids[ends[:-1]]
+        shard_of = np.searchsorted(bounds, firsts, side="right") - 1
+        # in int64, so that no uint32 id times code_bytes wraps
+        offsets = np.multiply(firsts - bounds[shard_of], code_bytes, dtype=np.int64)
+        fds = np.array([shard._fwd_fd for shard in index.shards])[shard_of]
+        data = _pread_spans(fds.tolist(), offsets.tolist(), (np.diff(ends) * code_bytes).tolist(),
+                            lambda i: f"the forward file of shard {shard_of[i]}")
+        return data.view("<u8").reshape(-1, words)
+    # block bounds typed like bounds: Python ints cast every id to int64 on
+    # every block, 6 us a block of 25k uint32 ids on a 2-vCPU VM
+    codes = np.empty((doc_ids.size, words), dtype=np.uint64)
+    for shard in index.shards:
+        span = max(first - shard.start, 0), min(end - shard.start, shard.doc_count)
+        for base, block in _forward_blocks(shard, words, *span):
+            base += shard.start
+            lo, hi = np.searchsorted(
+                doc_ids, np.array((base, base + block.shape[0]), dtype=bounds.dtype))
+            np.take(block, doc_ids[lo:hi] - base, axis=0, out=codes[lo:hi])
+            del block  # see _forward_blocks
+    return codes
 
 
 def _neighbors(hit_ids: list, hit_dists: list) -> NeighborSet:
@@ -756,7 +758,7 @@ def verify(index: SubCodeIndexManifest, doc_ids: np.ndarray, spec: QuerySpec) ->
         raise ValueError(f"doc ids must increase strictly within [0, {index.dataset_count})")
     words = spec.query.words.size
     rows_per_block = max(1, SCAN_BLOCK_BYTES // (words * 8))
-    # typed like the ids, as in _candidate_rows: int64 bounds cast the whole
+    # typed like the ids and at least uint32: int64 bounds cast the whole
     # batch to int64, 60 us a query at 125k candidates
     bounds = np.array(
         [shard.start for shard in index.shards] + [index.dataset_count],
@@ -768,13 +770,8 @@ def verify(index: SubCodeIndexManifest, doc_ids: np.ndarray, spec: QuerySpec) ->
     try:
         for lo in range(0, doc_ids.size, rows_per_block):
             batch = doc_ids[lo : lo + rows_per_block]
-            cuts = np.searchsorted(batch, bounds).tolist()
-            # each shard writes its rows straight into its slice of the batch
-            codes = np.empty((batch.size, words), dtype=np.uint64)
-            for shard, a, b in zip(index.shards, cuts, cuts[1:]):
-                if a < b:
-                    _candidate_rows(shard, words, batch[a:b] - shard.start, codes[a:b])
-            dist = hamming_distances(codes, spec.query.words)
+            dist = hamming_distances(_candidate_rows(index, words, batch, bounds),
+                                     spec.query.words)
             keep = np.flatnonzero(dist <= spec.radius)
             if keep.size:
                 hit_ids.append(batch[keep])
@@ -818,10 +815,10 @@ def read_code(manifest: SubCodeIndexManifest, doc_id: int) -> BinaryCode:
         raise ValueError(f"doc id {doc_id} out of range [0, {manifest.dataset_count})")
     # shard 0 holds ceil(n / S) docs, the stride of the shards' starts
     shard = manifest.shards[doc_id // manifest.shards[0].doc_count]
-    words = manifest.geometry.width_bits // 64
+    row = doc_id - shard.start
     manifest._enter(f"read of doc {doc_id}")
     try:
-        row = _read_forward_rows(shard, words, [doc_id - shard.start], [1])[0]
+        _, rows = next(_forward_blocks(shard, manifest.geometry.width_bits // 64, row, row + 1))
     finally:
         manifest._leave()
-    return BinaryCode(manifest.geometry.width_bits, row.copy())
+    return BinaryCode(manifest.geometry.width_bits, rows[0].copy())

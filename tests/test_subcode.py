@@ -5,6 +5,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -685,15 +686,16 @@ def test_verify_duplicate_free_r0(tmp_path):
 
 
 def test_verify_reads_sparse_runs_exactly(tmp_path, monkeypatch):
-    ds = random_dataset(8000, 64, seed=63)
-    manifest = subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "idx")
+    ds = random_dataset(20_000, 64, seed=63)
+    manifest = subcode_build(ds, plan_geometry(64, 16), 5, tmp_path / "idx")
+    fds = [shard._fwd_fd for shard in manifest.shards]
     shard = manifest.shards[1]
     reads = []
     real_pread = os.pread
 
     def recording_pread(fd, length, offset):
-        if fd == shard._fwd_fd:
-            reads.append(length)
+        if fd in fds:
+            reads.append((fd, offset, length))
         return real_pread(fd, length, offset)
 
     monkeypatch.setattr(os, "pread", recording_pread)
@@ -701,15 +703,34 @@ def test_verify_reads_sparse_runs_exactly(tmp_path, monkeypatch):
     # three runs of consecutive ids, far apart: only their rows are read
     sparse = shard.start + np.array([3, 4, 5, 1500, 3000, 3001], dtype=np.int64)
     got = verify(manifest, sparse, spec)
-    assert sum(reads) == sparse.size * 8
-    assert len(reads) == 3
+    assert reads == [(shard._fwd_fd, 3 * 8, 3 * 8), (shard._fwd_fd, 1500 * 8, 8),
+                     (shard._fwd_fd, 3000 * 8, 2 * 8)]
     assert np.array_equal(got.ids, sparse)
     # runs a few rows apart: one read of the rows they span
     reads.clear()
     dense = shard.start + np.array([3, 4, 5, 100, 250, 251], dtype=np.int64)
     got = verify(manifest, dense, spec)
-    assert reads == [(251 - 3 + 1) * 8]
+    assert reads == [(shard._fwd_fd, 3 * 8, (251 - 3 + 1) * 8)]
     assert np.array_equal(got.ids, dense)
+    # a run of consecutive DocIds is cut where a shard starts
+    reads.clear()
+    c = shard.start
+    assert np.array_equal(verify(manifest, np.array([c - 1, c]), spec).ids, [c - 1, c])
+    assert reads == [(fds[0], (c - 1) * 8, 8), (fds[1], 0, 8)]
+    # runs in every shard, some across a shard's start: one read per run
+    reads.clear()
+    ids = np.unique([k * c + j for k in range(5) for j in (-2, -1, 0, 1, 7, 8, 2000)
+                     if 0 <= k * c + j < ds.count])
+    got = verify(manifest, ids, spec)
+    expected = []
+    for k, fd in enumerate(fds):
+        local = ids[(ids >= k * c) & (ids < (k + 1) * c)] - k * c
+        for run in np.split(local, np.flatnonzero(np.diff(local) != 1) + 1):
+            expected.append((fd, int(run[0]) * 8, run.size * 8))
+    # 15 runs of consecutive DocIds, the 4 across a shard's start cut in two
+    assert len(expected) == 19
+    assert reads == expected
+    assert np.array_equal(got.ids, ids)
     manifest.close()
 
 
@@ -726,6 +747,14 @@ def test_truncated_forward_file_raises_query_error(tmp_path):
     # verify of every doc streams the rows (the dense path) into one batch
     with pytest.raises(QueryError, match="shard 0"):
         verify(manifest, np.arange(ds.count), QuerySpec(ds.code(last), 3))
+    manifest.close()
+    # two runs 20k rows apart read run by run (the sparse path), one pread
+    # each in one pass, and the short one is named
+    ds = random_dataset(20_000, 64, seed=64)
+    manifest = subcode_build(ds, plan_geometry(64, 16), 2, tmp_path / "sparse")
+    os.truncate(manifest.directory / "shard-1.fwd", manifest.shards[1].doc_count * 8 // 2)
+    with pytest.raises(QueryError, match="shard 1"):
+        verify(manifest, np.array([5, ds.count - 1]), QuerySpec(ds.code(5), 3))
     manifest.close()
 
 
@@ -883,6 +912,24 @@ def test_verify_equals_oracle_on_candidate_ids(small_indexes, width, data):
     truth = range_search_oracle(ds, spec)
     wanted = np.isin(truth.ids, doc_ids)
     assert got == NeighborSet(truth.ids[wanted], truth.distances[wanted])
+
+
+def test_forward_blocks_keep_no_block_they_yielded(tmp_path):
+    # a block the caller drops must be freed before the next is read: two
+    # 1 MiB blocks at once outgrow glibc's heap trim threshold
+    ds = random_dataset(300_000, 64, seed=81)
+    with subcode_build(ds, plan_geometry(64, 16), 1, tmp_path / "idx") as manifest:
+        blocks = subcode._forward_blocks(manifest.shards[0], 1, 0, ds.count)
+        tracemalloc.start()
+        try:
+            base, block = next(blocks)
+            assert block.nbytes == subcode.SCAN_BLOCK_BYTES
+            held = tracemalloc.get_traced_memory()[0]
+            del block
+            assert tracemalloc.get_traced_memory()[0] < held - subcode.SCAN_BLOCK_BYTES // 2
+        finally:
+            tracemalloc.stop()
+            blocks.close()
 
 
 @pytest.mark.parametrize("width", [64, 256])
